@@ -1,9 +1,13 @@
-"""Exact comparison of dyadic power sums sum_j a_j * 2^(-j*s).
+"""Comparison of dyadic power sums sum_j a_j * 2^(-j*s).
 
-Cover values are sums of terms 2^(-j*s) over cube levels j.  When s is (or
-rounds to) a rational p/q with q <= 64 these sums are compared exactly so
-that self-similar ties in the cover DP are decided deterministically; for
-other exponents comparisons fall back to doubles with a relative tolerance.
+Cover values are sums of terms 2^(-j*s) over cube levels j.  The cover DP
+weighs whole levels at once: `ExponentContext.compare_rows` compares each
+row of a multiplicity matrix against one cube's weight in floating point
+and trusts the result wherever it clears a derived error bound.  When s is
+(or rounds to) a rational p/q with q <= 64, the rows the float filter
+cannot decide go to `compare`, which is exact, so self-similar ties are
+decided deterministically.  For other exponents the float result is final,
+with ties defined by a relative tolerance.
 """
 
 from __future__ import annotations
@@ -11,9 +15,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 _SNAP_DENOMINATOR = 64
 _SNAP_RTOL = 1e-9
 _FLOAT_RTOL = 1e-12
+
+# Float filter for snapped exponents s = p/q.  With u = 2^-53, the weight of
+# level k is computed as pow(2, fl(-k * fl(p/q))):
+#  - fl(p/q) and the product each round by at most u, so the exponent k*p/q,
+#    at most MAX_LEVEL * MAX_DIM = 160 (s <= dim), is off by less than
+#    160 * 2.0001u < 321u, which scales 2^(-k*p/q) by a relative error below
+#    ln(2) * 321u * (1 + 1e-13) < 223u;
+#  - pow adds at most 1 ulp, 2u relative;
+#  - mult * w rounds once (u); mult < 2^53 converts to float exactly;
+#  - a sum of at most MAX_LEVEL + 1 = 21 positive terms adds at most 20u,
+#    in any order.
+# So each computed value a' is a * (1 + t) with |t| < 247u <= 2^-45 =: eta,
+# both for a row's value and for the single weight it is compared with.  The
+# float order of a' and b' is the true order of a and b whenever
+# |a' - b'| > eta * (a' + b'), which |a' - b'| > 2 * eta * max(a', b')
+# implies.
+_FILTER_RTOL = 2.0**-44
 
 
 def snap_exponent(s: float) -> Fraction | None:
@@ -36,15 +59,10 @@ def _iroot(x: int, q: int) -> int:
         r = nr
 
 
-def add_terms(acc: dict, other: dict) -> dict:
-    for j, mult in other.items():
-        acc[j] = acc.get(j, 0) + mult
-    return acc
-
-
 @dataclass(frozen=True)
 class ExponentContext:
-    """Comparison context for level-multiplicity dicts {level: count}."""
+    """Comparison context for level-multiplicity dicts {level: count} and
+    multiplicity matrices whose column c counts cubes of level j + c."""
 
     s: float
     frac: Fraction | None
@@ -55,6 +73,32 @@ class ExponentContext:
 
     def to_float(self, terms: dict) -> float:
         return float(sum(mult * 2.0 ** (-j * self.s) for j, mult in sorted(terms.items())))
+
+    def _filter(self, rows: np.ndarray, j: int) -> np.ndarray:
+        """Float sign of value(row) - 2^(-j*s) for each row, as int8.
+
+        Unsnapped s: the float rule of `compare`, bit for bit, with 0 for a
+        tie.  Snapped s: ties are defined for p/q, so the weights use
+        float(p/q), not s, and 0 means undecided."""
+        s = self.s if self.frac is None else float(self.frac)
+        value = np.zeros(rows.shape[0])
+        for c in range(rows.shape[1]):  # Python's pow, summed as in to_float
+            value += rows[:, c] * 2.0 ** (-(j + c) * s)
+        own = 2.0 ** (-j * s)
+        rtol = _FLOAT_RTOL if self.frac is None else _FILTER_RTOL
+        close = np.abs(value - own) <= rtol * np.maximum(value, own)
+        return np.where(close, 0, np.sign(value - own)).astype(np.int8)
+
+    def compare_rows(self, rows: np.ndarray, j: int) -> np.ndarray:
+        """Sign of value(row) - 2^(-j*s) for each row of an int matrix whose
+        column c counts cubes of level j + c; exact for snapped s."""
+        signs = self._filter(rows, j)
+        if self.frac is not None:
+            own = {j: 1}
+            for i in np.flatnonzero(signs == 0):
+                terms = {j + int(c): int(rows[i, c]) for c in np.flatnonzero(rows[i])}
+                signs[i] = self.compare(terms, own)
+        return signs
 
     def compare(self, a: dict, b: dict) -> int:
         """Sign of value(a) - value(b): -1, 0 or +1."""

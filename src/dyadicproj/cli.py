@@ -84,6 +84,15 @@ def _out_file(out_dir: Path, name: str, force: bool) -> Path:
     return path
 
 
+def _heavy_params(dim: int, big_l: float | None, tau: float | None) -> tuple[float, float]:
+    """(L, tau) with the defaults tau = 4^-dim and L = max(1, 2/tau).
+
+    tau*L > 1 keeps the root from being heavy: its threshold is tau*L*|P|
+    under the normalization C = |P| * delta^s."""
+    tau = tau if tau is not None else 4.0**-dim
+    return (big_l if big_l is not None else max(1.0, 2.0 / tau)), tau
+
+
 def run_multiscale_scan(config: ExperimentConfig) -> int:
     """Scan every level in the configured range and gate on the eps-budget.
 
@@ -99,8 +108,7 @@ def run_multiscale_scan(config: ExperimentConfig) -> int:
             f"for input at level {P.level}"
         )
     out = Path(config.out_dir)
-    tau = config.tau if config.tau is not None else 4.0**-P.dim
-    big_l = config.big_l if config.big_l is not None else max(1.0, 2.0 / tau)
+    big_l, tau = _heavy_params(P.dim, config.big_l, config.tau)
 
     rows = []
     worst = (None, -1.0)
@@ -196,8 +204,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="heavy-cube good/bad decomposition")
     _add_common(p)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--big-l", type=float, default=4.0)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--big-l", type=float, default=None, help="default max(1, 2/tau)")
+    p.add_argument("--tau", type=float, default=None, help="default 4^-dim")
 
     p = sub.add_parser("frostman", help="extract a regular witness subset")
     _add_common(p)
@@ -260,7 +268,7 @@ def _cmd_spread(args) -> int:
 def _cmd_decompose(args) -> int:
     P = _load_points(args.input, args.gen, args.seed)
     C = len(P) * 2.0 ** (-P.level * args.s)
-    dec = heavy_decompose(P, args.s, C, args.big_l, args.tau)
+    dec = heavy_decompose(P, args.s, C, *_heavy_params(P.dim, args.big_l, args.tau))
     out = Path(args.out)
     for name in ("good.txt", "bad.txt", "heavy.txt"):
         _out_file(out, name, args.force)

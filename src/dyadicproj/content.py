@@ -11,12 +11,13 @@ multi-scale construction in `finite_strong_cover` builds on that.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._exact import ExponentContext, add_terms
+from ._exact import ExponentContext
 from .grid import DyadicCube, GridPointSet, dilate
 
 __all__ = [
@@ -51,21 +52,15 @@ class CoverTree:
     """Sparse occupied dyadic tree over a point set with per-node cell counts.
 
     `levels[j]` holds the lex-sorted (N_j, dim) array of occupied level-j
-    cubes and `counts[j]` the number of point-set cells under each.
+    cubes, `counts[j]` the number of point-set cells under each, and
+    `parents[j]` (j >= 1) the row in `levels[j - 1]` of each one's parent.
     """
 
     dim: int
     leaf_level: int
     levels: tuple[np.ndarray, ...]
     counts: tuple[np.ndarray, ...]
-
-    def count_of(self, cube: DyadicCube) -> int:
-        cells = self.levels[cube.level]
-        idx = _row_index(cells, np.asarray(cube.coords, dtype=np.int64))
-        return 0 if idx is None else int(self.counts[cube.level][idx])
-
-    def nodes_at(self, j: int) -> np.ndarray:
-        return self.levels[j]
+    parents: tuple[np.ndarray, ...]
 
     def max_count(self, j: int) -> int:
         c = self.counts[j]
@@ -76,74 +71,23 @@ class CoverTree:
         return int(self.counts[0].sum()) if self.counts[0].size else 0
 
 
-def _row_index(sorted_rows: np.ndarray, row: np.ndarray):
-    """Index of `row` in a lex-sorted 2-D int array, or None."""
-    if sorted_rows.size == 0:
-        return None
-    lo, hi = 0, sorted_rows.shape[0]
-    key = tuple(row.tolist())
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probe = tuple(sorted_rows[mid].tolist())
-        if probe < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < sorted_rows.shape[0] and tuple(sorted_rows[lo].tolist()) == key:
-        return lo
-    return None
-
-
 def build_cover_tree(P: GridPointSet) -> CoverTree:
     """Aggregate cell counts up the dyadic tree, levels P.level down to 0."""
     if len(P) == 0:
         raise ValueError("cannot build a cover tree over an empty point set")
     levels: list[np.ndarray] = [None] * (P.level + 1)  # type: ignore[list-item]
     counts: list[np.ndarray] = [None] * (P.level + 1)  # type: ignore[list-item]
+    parents: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * (P.level + 1)
     levels[P.level] = P.cells
     counts[P.level] = np.ones(len(P), dtype=np.int64)
     for j in range(P.level - 1, -1, -1):
-        parents = levels[j + 1] >> 1
-        uniq, inverse = np.unique(parents, axis=0, return_inverse=True)
+        uniq, inverse = np.unique(levels[j + 1] >> 1, axis=0, return_inverse=True)
+        parents[j + 1] = inverse.ravel()
         agg = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(agg, inverse.ravel(), counts[j + 1])
+        np.add.at(agg, parents[j + 1], counts[j + 1])
         levels[j] = uniq
         counts[j] = agg
-    return CoverTree(P.dim, P.level, tuple(levels), tuple(counts))
-
-
-def _parent_indices(child_cells: np.ndarray, parent_cells: np.ndarray) -> np.ndarray:
-    """For each child cell, the row index of its parent in parent_cells.
-
-    Lex order of rows is preserved under halving coordinates, so a fused
-    integer key and searchsorted suffice.
-    """
-    parents = child_cells >> 1
-    if parent_cells.shape[1] == 1:
-        return np.searchsorted(parent_cells[:, 0], parents[:, 0])
-    bits = max(
-        1,
-        int(parent_cells.max() if parent_cells.size else 0).bit_length(),
-        int(parents.max() if parents.size else 0).bit_length(),
-    )
-    return np.searchsorted(_fuse(parent_cells, bits), _fuse(parents, bits))
-
-
-def _fuse(cells: np.ndarray, bits: int) -> np.ndarray:
-    """Fuse columns into one lex-order-preserving integer key; `bits` must
-    cover the largest coordinate in any array compared against the key."""
-    dim = cells.shape[1]
-    if cells.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    if bits * dim <= 62:
-        key = cells[:, 0].astype(np.int64)
-        for c in range(1, dim):
-            key = (key << bits) | cells[:, c]
-        return key
-    key = cells[:, 0].astype(object)
-    for c in range(1, dim):
-        key = (key << bits) | cells[:, c].astype(object)
-    return key
+    return CoverTree(P.dim, P.level, tuple(levels), tuple(counts), tuple(parents))
 
 
 @dataclass(frozen=True)
@@ -178,13 +122,23 @@ def _validate_exponent(P: GridPointSet, s: float) -> None:
         raise ValueError(f"exponent s={s} outside (0, {P.dim}]")
 
 
+def _child_sums(rows: np.ndarray, parents: np.ndarray, n_parents: int) -> np.ndarray:
+    """Sum level-(j+1) multiplicity rows into their level-j parents, behind
+    a leading zero column for level j itself."""
+    sums = np.zeros((n_parents, rows.shape[1] + 1), dtype=np.int64)
+    np.add.at(sums[:, 1:], parents, rows)
+    return sums
+
+
 def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
     """Minimize sum(side^s) over disjoint dyadic covers with levels in [j_min, P.level].
 
     Bottom-up recursion: cost(Q) = min(side(Q)^s, sum over occupied children),
     ties resolved toward the coarser cube, so minimizers cannot be coarsened
-    further without changing their value.  Comparisons are exact for rational
-    s with small denominator (see _exact), which pins down self-similar ties.
+    further without changing their value.  Level j's costs are an
+    (N_j, P.level + 1 - j) matrix of cover-cube counts per level, weighed at
+    once by `compare_rows`: exact for rational s with small denominator (see
+    _exact), which pins down self-similar ties.
     """
     if len(P) == 0:
         raise ValueError("cannot cover an empty point set")
@@ -195,27 +149,14 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
     tree = build_cover_tree(P)
     L = P.level
 
-    parent_idx: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
-    for j in range(1, L + 1):
-        parent_idx[j] = _parent_indices(tree.levels[j], tree.levels[j - 1])
-
-    cost: list[list[dict]] = [None] * (L + 1)  # type: ignore[list-item]
     take: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
-    cost[L] = [{L: 1} for _ in range(tree.levels[L].shape[0])]
+    rows = np.ones((tree.levels[L].shape[0], 1), dtype=np.int64)
     take[L] = np.ones(tree.levels[L].shape[0], dtype=bool)
     for j in range(L - 1, -1, -1):
-        n_nodes = tree.levels[j].shape[0]
-        sums: list[dict] = [dict() for _ in range(n_nodes)]
-        for child, pi in enumerate(parent_idx[j + 1]):
-            add_terms(sums[pi], cost[j + 1][child])
-        take_j = np.zeros(n_nodes, dtype=bool)
-        own = {j: 1}
-        for i in range(n_nodes):
-            if j >= j_min and ctx.compare(own, sums[i]) <= 0:
-                take_j[i] = True
-                sums[i] = dict(own)
-        cost[j] = sums
-        take[j] = take_j
+        rows = _child_sums(rows, tree.parents[j + 1], tree.levels[j].shape[0])
+        take[j] = ctx.compare_rows(rows, j) >= 0 if j >= j_min else np.zeros(len(rows), bool)
+        rows[take[j]] = 0
+        rows[take[j], 0] = 1
 
     cubes: list[DyadicCube] = []
     active = np.ones(tree.levels[0].shape[0], dtype=bool)
@@ -225,12 +166,10 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
             cubes.append(DyadicCube(j, tuple(int(c) for c in tree.levels[j][i])))
         if j < L:
             pass_down = active & ~take[j]
-            active = pass_down[parent_idx[j + 1]]
+            active = pass_down[tree.parents[j + 1]]
     cubes.sort(key=lambda c: (c.level, c.coords))
-    mult: dict[int, int] = {}
-    for c in cubes:
-        mult[c.level] = mult.get(c.level, 0) + 1
-    if ctx.compare(mult, cost[0][0]) != 0:
+    mult = {j: n for j, n in enumerate(rows[0].tolist()) if n}
+    if Counter(c.level for c in cubes) != mult:
         raise AssertionError("reconstructed cover does not match DP value")
     return DyadicCover(tuple(cubes), float(s), ctx.to_float(mult))
 
@@ -245,21 +184,34 @@ def delta_s_sets_from_cover(cover: DyadicCover) -> dict[int, GridPointSet]:
     if not cover.cubes:
         raise ValueError("empty cover")
     ctx = ExponentContext.create(cover.s)
-    agg: dict[tuple[int, tuple[int, ...]], dict] = {}
-    for c in cover.cubes:
-        for a in range(c.level + 1):
-            key = (a, tuple(q >> (c.level - a) for q in c.coords))
-            add_terms(agg.setdefault(key, {}), {c.level: 1})
-    for (a, coords), terms in sorted(agg.items()):
-        if ctx.compare(terms, {a: 1}) > 0:
-            raise CoverMinimalityError(
-                DyadicCube(a, coords), ctx.to_float(terms), ctx.to_float({a: 1})
-            )
-    out: dict[int, list] = {}
-    for c in cover.cubes:
-        out.setdefault(c.level, []).append(c.coords)
     dim = len(cover.cubes[0].coords)
-    return {k: GridPointSet.from_cells(dim, k, cells) for k, cells in sorted(out.items())}
+    L = max(c.level for c in cover.cubes)
+    by_level: dict[int, list] = {}
+    for c in cover.cubes:
+        by_level.setdefault(c.level, []).append(c.coords)
+    # a cube enters the tree through its first level-L cell, which carries
+    # the cube's level; the other tree nodes under a cube hold no weight
+    firsts = np.array([[q << (L - c.level) for q in c.coords] for c in cover.cubes])
+    home = np.array([c.level for c in cover.cubes])[np.lexsort(firsts.T[::-1])]
+    tree = build_cover_tree(GridPointSet(dim, L, firsts))
+    anc = np.arange(home.size)  # each first cell's level-a ancestor
+    rows = np.zeros((home.size, 1), dtype=np.int64)
+    offending = None
+    for a in range(L, -1, -1):
+        if a < L:
+            anc = tree.parents[a + 1][anc]
+            rows = _child_sums(rows, tree.parents[a + 1], tree.levels[a].shape[0])
+        # a cover cube's own row (weight equal to budget) is left out of the
+        # check, so no exact tie goes to the fallback
+        bad = np.flatnonzero(ctx.compare_rows(rows, a) > 0)
+        if bad.size:
+            offending = (DyadicCube(a, tuple(int(q) for q in tree.levels[a][bad[0]])), rows[bad[0]])
+        rows[anc[home == a], 0] = 1
+    if offending is not None:
+        cube, row = offending
+        terms = {cube.level + int(c): int(row[c]) for c in np.flatnonzero(row)}
+        raise CoverMinimalityError(cube, ctx.to_float(terms), ctx.to_float({cube.level: 1}))
+    return {k: GridPointSet.from_cells(dim, k, cells) for k, cells in sorted(by_level.items())}
 
 
 def finite_strong_cover(

@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
+# _exact._FILTER_RTOL is derived for MAX_LEVEL * MAX_DIM <= 160
 MAX_LEVEL = 20
 MAX_DIM = 8
 

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._exact import snap_exponent
-from .content import build_cover_tree, optimal_cover, _parent_indices
+from ._exact import _iroot, snap_exponent
+from .content import build_cover_tree, optimal_cover
 from .grid import DyadicCube, GridPointSet, write_pointset
 
 __all__ = [
@@ -140,7 +140,7 @@ def heavy_decompose(
             maximal.append(DyadicCube(j, tuple(int(c) for c in nodes[i])))
         if j < P.level:
             settled = blocked | is_heavy
-            blocked = settled[_parent_indices(tree.levels[j + 1], nodes)]
+            blocked = settled[tree.parents[j + 1]]
     # mark bad cells: those under any maximal heavy cube
     bad_mask = np.zeros(len(P), dtype=bool)
     by_level: dict[int, list] = {}
@@ -201,19 +201,8 @@ def _ceil_pow2(p: int, q: int, e: int) -> int:
         return 1 << t
     # smallest c with c^q >= 2^num
     x = 1 << num
-    root = _int_root(x, q)
+    root = _iroot(x, q)
     return root if root**q >= x else root + 1
-
-
-def _int_root(x: int, q: int) -> int:
-    if x < 2 or q == 1:
-        return x
-    r = 1 << ((x.bit_length() - 1) // q + 1)
-    while True:
-        nr = ((q - 1) * r + x // r ** (q - 1)) // q
-        if nr >= r:
-            return r
-        r = nr
 
 
 def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> GridPointSet:
@@ -238,22 +227,18 @@ def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> Gri
             return _ceil_pow2(frac.numerator, frac.denominator, L - j)
         return int(np.ceil(2.0 ** ((L - j) * s) - 1e-12))
 
-    parent_idx = [None] * (L + 1)
-    for j in range(1, L + 1):
-        parent_idx[j] = _parent_indices(tree.levels[j], tree.levels[j - 1])
-
     budget: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
     budget[L] = np.ones(tree.levels[L].shape[0], dtype=np.int64)
     for j in range(L - 1, -1, -1):
         sums = np.zeros(tree.levels[j].shape[0], dtype=np.int64)
-        np.add.at(sums, parent_idx[j + 1], budget[j + 1])
+        np.add.at(sums, tree.parents[j + 1], budget[j + 1])
         budget[j] = np.minimum(sums, cap(j))
 
     # children grouped per parent, in lexicographic order
     children: list[list[list[int]]] = [None] * (L + 1)  # type: ignore[list-item]
     for j in range(1, L + 1):
         groups = [[] for _ in range(tree.levels[j - 1].shape[0])]
-        for child, pi in enumerate(parent_idx[j]):
+        for child, pi in enumerate(tree.parents[j]):
             groups[pi].append(child)
         children[j - 1] = groups
 

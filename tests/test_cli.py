@@ -67,6 +67,13 @@ class TestDecompose:
         assert "good 0 bad 32" in out
         assert (tmp_path / "heavy.txt").exists()
 
+    def test_default_big_l_keeps_root_light(self, tmp_path, capsys):
+        # L defaults to 2/tau, so tau*L = 2 and the root cube is not heavy
+        assert run(["decompose", "--gen", CANTOR2, "--s", 1.0, "--out", tmp_path]) == 0
+        words = capsys.readouterr().out.split()
+        assert int(words[words.index("good") + 1]) > 0
+        assert words[words.index("budget") + 1] == "0.5"  # 1 / (tau * L)
+
 
 class TestScan:
     def test_scan_writes_reports(self, tmp_path, capsys):

@@ -18,6 +18,8 @@ from dyadicproj.regularity import minimal_spread_constant
 
 from conftest import min_cover_value_oracle, random_subset
 
+TIE_CANTOR2 = CantorPattern(4, ((0, 2), (0, 3)))
+
 
 class TestCoverTree:
     def test_single_cell_chain(self):
@@ -75,16 +77,19 @@ class TestOptimalCover:
             assert [(c.level, c.coords) for c in cover.cubes] == [(0, (0,))]
 
     def test_oracle_equivalence_n1(self, rng):
-        for _ in range(40):
-            P = random_subset(rng, 1, int(rng.integers(1, 5)))
+        inputs = [random_subset(rng, 1, int(rng.integers(1, 5))) for _ in range(40)]
+        # tie-heavy: every quarter-Cantor node ties its children at s = 1/2
+        inputs.append(gen_cantor_product(QUARTER_CANTOR, 2))
+        for P in inputs:
             for s in (0.5, 1.0):
                 got = optimal_cover(P, s)
                 want, _ = min_cover_value_oracle(P, s)
                 assert got.value == want
 
     def test_oracle_equivalence_n2(self, rng):
-        for _ in range(15):
-            P = random_subset(rng, 2, 2)
+        inputs = [random_subset(rng, 2, 2) for _ in range(15)]
+        inputs.append(gen_cantor_product(TIE_CANTOR2, 1))  # ties at s = 1
+        for P in inputs:
             got = optimal_cover(P, 1.0)
             want, _ = min_cover_value_oracle(P, 1.0)
             assert got.value == want
@@ -98,6 +103,14 @@ class TestOptimalCover:
             got = optimal_cover(P, s).value
             want, _ = min_cover_value_oracle(P, s)
             assert got == want
+
+    def test_near_rational_exponent_snaps(self):
+        # s within 1e-9 of 3/2 is compared as 3/2, whose self-similar ties
+        # the float filter must hand to the exact comparison
+        P = gen_cantor_product(CantorPattern(4, ((0, 2), (0, 3), (1, 2))), 3)
+        cover = optimal_cover(P, 1.5)
+        assert [(c.level, c.coords) for c in cover.cubes] == [(0, (0, 0, 0))]
+        assert optimal_cover(P, 1.5 + 5e-10).cubes == cover.cubes
 
     def test_j_min_restricts_levels(self, rng):
         P = random_subset(rng, 1, 4)
@@ -156,6 +169,16 @@ class TestDeltaSSets:
         with pytest.raises(CoverMinimalityError) as err:
             delta_s_sets_from_cover(bad)
         assert err.value.cube.level in (0, 1)
+
+    def test_first_offending_cube_is_named(self):
+        # three level-2 cells under each of (0, 1) and (1, 0): 3 * 2^-3 >
+        # 2^-1.5 there, while the root holds 0.75 <= 1
+        cells = [(0, 2), (0, 3), (1, 2), (2, 0), (3, 0), (2, 1)]
+        bad = DyadicCover(tuple(DyadicCube(2, c) for c in cells), 1.5, 0.75)
+        with pytest.raises(CoverMinimalityError) as err:
+            delta_s_sets_from_cover(bad)
+        assert err.value.cube == DyadicCube(1, (0, 1))
+        assert (err.value.total, err.value.budget) == (0.375, 2.0**-1.5)
 
 
 class TestFiniteStrongCover:
