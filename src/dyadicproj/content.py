@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import ExponentContext
-from .grid import DyadicCube, GridPointSet, dilate
+from .grid import DyadicCube, GridPointSet, _rows_in, _unique_rows, dilate
 
 __all__ = [
     "CoverTree",
@@ -81,8 +81,7 @@ def build_cover_tree(P: GridPointSet) -> CoverTree:
     levels[P.level] = P.cells
     counts[P.level] = np.ones(len(P), dtype=np.int64)
     for j in range(P.level - 1, -1, -1):
-        uniq, inverse = np.unique(levels[j + 1] >> 1, axis=0, return_inverse=True)
-        parents[j + 1] = inverse.ravel()
+        uniq, parents[j + 1] = _unique_rows(levels[j + 1] >> 1)
         agg = np.zeros(uniq.shape[0], dtype=np.int64)
         np.add.at(agg, parents[j + 1], counts[j + 1])
         levels[j] = uniq
@@ -240,7 +239,7 @@ def finite_strong_cover(
     if not (1 <= k_lo <= k_hi <= P.level):
         raise ValueError(f"scale range [{k_lo}, {k_hi}] invalid for level {P.level}")
 
-    pooled: dict[int, set] = {}
+    pooled: dict[int, list] = {}
     for i in range(k_lo, k_hi + 1):
         base = optimal_cover(P, s - eps, j_min=i)
         by_level: dict[int, list] = {}
@@ -259,11 +258,8 @@ def finite_strong_cover(
                         stacklevel=2,
                     )
             for q in refined.cubes:
-                pooled.setdefault(q.level, set()).add(q.coords)
-    return {
-        k: GridPointSet.from_cells(P.dim, k, sorted(cells))
-        for k, cells in sorted(pooled.items())
-    }
+                pooled.setdefault(q.level, []).append(q.coords)
+    return {k: GridPointSet.from_cells(P.dim, k, cells) for k, cells in sorted(pooled.items())}
 
 
 def strong_cover_misses(
@@ -273,13 +269,7 @@ def strong_cover_misses(
     covered = np.zeros(len(P), dtype=bool)
     for k, Pk in family.items():
         target = dilate(Pk, radius)
-        anc = P.cells >> (P.level - k)
-        member = np.fromiter(
-            (tuple(row) in target.cell_set for row in anc.tolist()),
-            dtype=bool,
-            count=len(P),
-        )
-        covered |= member
+        covered |= _rows_in(P.cells >> (P.level - k), target.cells)
     return int((~covered).sum())
 
 

@@ -4,12 +4,15 @@ Everything lives on the unit cube [0,1]^n discretized at a resolution level
 k, so a cell is an n-vector of integers in [0, 2^k) and represents the point
 at its center.  All coordinates are 64-bit integers and levels are capped at
 20, which keeps squared pairwise distances (in cell units) well inside int64.
+
+Cell rows are kept in lexicographic order.  `_unique_rows` (a `np.lexsort`
+and a comparison of adjacent rows) does every dedup, grouping and membership
+test on them, at any width: one fused int64 key would not fit dim * level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -84,6 +87,26 @@ class DyadicCube:
         return (2.0 * np.asarray(self.coords, dtype=np.float64) + 1.0) / float(1 << (self.level + 1))
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (N, d) integer array in lexicographic order, and
+    the index among them of every input row."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `a` that occur in `b`."""
+    uniq, inverse = _unique_rows(np.concatenate([b, a]))
+    in_b = np.zeros(len(uniq), dtype=bool)
+    in_b[inverse[: len(b)]] = True
+    return in_b[inverse[len(b) :]]
+
+
 def _as_cell_array(dim: int, cells) -> np.ndarray:
     arr = np.asarray(cells, dtype=np.int64)
     if arr.size == 0:
@@ -114,7 +137,7 @@ class GridPointSet:
         if arr.size:
             if arr.min() < 0 or arr.max() >= (1 << self.level):
                 raise ValueError("cell coordinates out of range for level")
-            arr = np.unique(arr, axis=0)  # sorts lexicographically
+            arr = _unique_rows(arr)[0]
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
@@ -134,12 +157,9 @@ class GridPointSet:
         """Cell side 2^-level."""
         return 2.0 ** -self.level
 
-    @cached_property
-    def cell_set(self) -> frozenset:
-        return frozenset(map(tuple, self.cells.tolist()))
-
     def __contains__(self, cell) -> bool:
-        return tuple(cell) in self.cell_set
+        row = np.asarray(cell)
+        return row.shape == (self.dim,) and bool((self.cells == row).all(axis=1).any())
 
     def centers(self) -> np.ndarray:
         """(N, dim) float64 array of cell centers in [0,1)^dim."""
@@ -153,11 +173,12 @@ class GridPointSet:
     def difference(self, other: "GridPointSet") -> "GridPointSet":
         if (other.dim, other.level) != (self.dim, self.level):
             raise ValueError("difference requires matching dim and level")
-        keep = [c for c in map(tuple, self.cells.tolist()) if c not in other.cell_set]
-        return GridPointSet.from_cells(self.dim, self.level, keep)
+        return GridPointSet(self.dim, self.level, self.cells[~_rows_in(self.cells, other.cells)])
 
     def issubset(self, other: "GridPointSet") -> bool:
-        return self.cell_set <= other.cell_set
+        return (self.dim, self.level) == (other.dim, other.level) and bool(
+            _rows_in(self.cells, other.cells).all()
+        )
 
 
 def covering_number(P: GridPointSet, j: int) -> int:
@@ -172,7 +193,7 @@ def covering_number(P: GridPointSet, j: int) -> int:
     shift = P.level - j
     if shift == 0:
         return len(P)
-    return np.unique(P.cells >> shift, axis=0).shape[0]
+    return len(_unique_rows(P.cells >> shift)[0])
 
 
 _CHUNK_ROWS = 1 << 18
@@ -200,7 +221,7 @@ def dilate(P: GridPointSet, r: int) -> GridPointSet:
         block = P.cells[start : start + chunk]
         out = (block[:, None, :] + offsets[None, :, :]).reshape(-1, P.dim)
         ok = ((out >= 0) & (out < hi)).all(axis=1)
-        pieces.append(np.unique(out[ok], axis=0))
+        pieces.append(_unique_rows(out[ok])[0])
     return GridPointSet(P.dim, P.level, np.concatenate(pieces))
 
 
@@ -220,9 +241,9 @@ def coarsen(P: GridPointSet, level: int) -> GridPointSet:
 
 
 def write_pointset(P: GridPointSet, path) -> None:
-    lines = [f"{P.dim} {P.level} {len(P)}"]
-    lines.extend(" ".join(str(c) for c in row) for row in P.cells.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = " ".join(["%d"] * P.dim)
+    fmt = "\n".join([f"{P.dim} {P.level} {len(P)}"] + [row] * len(P)) + "\n"
+    Path(path).write_text(fmt % tuple(P.cells.ravel().tolist()))
 
 
 def read_pointset(path) -> GridPointSet:
@@ -236,14 +257,15 @@ def read_pointset(path) -> GridPointSet:
     dim, level, count = (int(x) for x in head)
     if len(rows) - 1 != count:
         raise ValueError(f"{path}: header promises {count} rows, found {len(rows) - 1}")
-    cells = []
-    seen = set()
-    for ln in rows[1:]:
-        cell = tuple(int(x) for x in ln.split())
-        if len(cell) != dim:
+    body = [ln.split() for ln in rows[1:]]
+    for ln, parts in zip(rows[1:], body):
+        if len(parts) != dim:
             raise ValueError(f"{path}: row {ln!r} does not have {dim} coordinates")
-        if cell in seen:
-            raise ValueError(f"{path}: duplicate row {ln!r}")
-        seen.add(cell)
-        cells.append(cell)
-    return GridPointSet.from_cells(dim, level, cells)
+    cells = np.array(body, dtype=np.int64)
+    if count:
+        uniq, inverse = _unique_rows(cells)
+        if len(uniq) < count:
+            _, first = np.unique(inverse, return_index=True)
+            repeat = np.setdiff1d(np.arange(count), first)[0]
+            raise ValueError(f"{path}: duplicate row {rows[1 + repeat]!r}")
+    return GridPointSet(dim, level, cells)

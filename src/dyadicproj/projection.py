@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .content import build_cover_tree
-from .grid import GridPointSet
+from .grid import GridPointSet, _unique_rows
 
 __all__ = [
     "Plane",
@@ -184,7 +184,7 @@ def min_projection_cover(
         raise ValueError(f"kappa={kappa} outside [1, {len(P)}]")
     coords = project_points(V, P)
     bins, _ = _project_bins(coords, V.m, delta)
-    _, counts = np.unique(bins, axis=0, return_counts=True)
+    counts = np.bincount(_unique_rows(bins)[1])
     counts[::-1].sort()
     filled = np.cumsum(counts)
     return int(np.searchsorted(filled, kappa) + 1)

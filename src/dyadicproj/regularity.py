@@ -138,22 +138,12 @@ def heavy_decompose(
         is_heavy = (counts.astype(np.float64) >= _heavy_threshold(s, tcl, P.level - j)) & ~blocked
         for i in np.flatnonzero(is_heavy):
             maximal.append(DyadicCube(j, tuple(int(c) for c in nodes[i])))
+        settled = blocked | is_heavy
         if j < P.level:
-            settled = blocked | is_heavy
             blocked = settled[tree.parents[j + 1]]
-    # mark bad cells: those under any maximal heavy cube
-    bad_mask = np.zeros(len(P), dtype=bool)
-    by_level: dict[int, list] = {}
-    for q in maximal:
-        by_level.setdefault(q.level, []).append(q.coords)
-    for a, coords in by_level.items():
-        heavy_cells = {tuple(c) for c in coords}
-        anc = P.cells >> (P.level - a)
-        bad_mask |= np.fromiter(
-            (tuple(r) in heavy_cells for r in anc.tolist()), dtype=bool, count=len(P)
-        )
-    bad = GridPointSet(P.dim, P.level, P.cells[bad_mask])
-    good = GridPointSet(P.dim, P.level, P.cells[~bad_mask])
+    # the leaf level is P.cells in order, so `settled` now marks the bad cells
+    bad = GridPointSet(P.dim, P.level, P.cells[settled])
+    good = GridPointSet(P.dim, P.level, P.cells[~settled])
     net = _greedy_net(good, net_separation)
     maximal.sort(key=lambda c: (c.level, c.coords))
     return Decomposition(good, bad, tuple(maximal), (s, float(C), float(L), float(tau)), net)
@@ -227,42 +217,29 @@ def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> Gri
             return _ceil_pow2(frac.numerator, frac.denominator, L - j)
         return int(np.ceil(2.0 ** ((L - j) * s) - 1e-12))
 
+    # cap(j) can exceed int64; sums never exceed len(P), so a cap above it never binds
     budget: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
     budget[L] = np.ones(tree.levels[L].shape[0], dtype=np.int64)
     for j in range(L - 1, -1, -1):
         sums = np.zeros(tree.levels[j].shape[0], dtype=np.int64)
         np.add.at(sums, tree.parents[j + 1], budget[j + 1])
-        budget[j] = np.minimum(sums, cap(j))
+        budget[j] = np.minimum(sums, min(cap(j), len(P)))
 
-    # children grouped per parent, in lexicographic order
-    children: list[list[list[int]]] = [None] * (L + 1)  # type: ignore[list-item]
+    # each child takes what its parent's quota leaves after the budgets of
+    # its earlier siblings in lexicographic order, up to its own budget
+    quota = budget[0]
     for j in range(1, L + 1):
-        groups = [[] for _ in range(tree.levels[j - 1].shape[0])]
-        for child, pi in enumerate(tree.parents[j]):
-            groups[pi].append(child)
-        children[j - 1] = groups
+        parents = tree.parents[j]
+        order = np.argsort(parents, kind="stable")
+        grouped = parents[order]
+        b = budget[j][order]
+        before = np.cumsum(b) - b
+        before -= before[np.searchsorted(grouped, grouped)]
+        child_quota = np.empty_like(b)
+        child_quota[order] = np.clip(quota[grouped] - before, 0, b)
+        quota = child_quota
 
-    chosen: list[tuple[int, ...]] = []
-    stack: list[tuple[int, int, int]] = [(0, 0, int(budget[0][0]))]
-    while stack:
-        j, i, quota = stack.pop()
-        if quota <= 0:
-            continue
-        if j == L:
-            chosen.append(tuple(int(c) for c in tree.levels[L][i]))
-            continue
-        remaining = quota
-        pending = []
-        for child in children[j][i]:
-            if remaining <= 0:
-                break
-            t = min(int(budget[j + 1][child]), remaining)
-            if t > 0:
-                pending.append((j + 1, child, t))
-                remaining -= t
-        stack.extend(reversed(pending))
-
-    S = GridPointSet.from_cells(P.dim, P.level, chosen)
+    S = GridPointSet(P.dim, P.level, tree.levels[L][quota > 0])
     content = optimal_cover(P, s).value
     need = min_fraction * content * 2.0 ** (L * s)
     if len(S) < need - 1e-9:

@@ -8,7 +8,10 @@ the tests were computed with these oracles.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -89,6 +92,57 @@ def spread_constant_oracle(P: GridPointSet, s: float) -> float:
         for c in counts:
             best = max(best, c / 2.0 ** ((P.level - j) * s))
     return best
+
+
+def cell_tuples(rows) -> list[tuple[int, ...]]:
+    """Distinct rows as tuples, in Python's own tuple order."""
+    return sorted(set(map(tuple, np.asarray(rows).tolist())))
+
+
+def cover_tree_oracle(P: GridPointSet):
+    """Per level: the occupied cubes as sorted tuples, the cells of P under
+    each, and each cube's row in the level above, from tuple dicts."""
+    levels, counts, parents = [], [], []
+    for j in range(P.level + 1):
+        under = Counter(tuple(c >> (P.level - j) for c in cell) for cell in P.cells.tolist())
+        levels.append(sorted(under))
+        counts.append([under[q] for q in levels[j]])
+        row = {q: i for i, q in enumerate(levels[j - 1])} if j else {}
+        parents.append([row[tuple(c >> 1 for c in q)] for q in levels[j]] if j else [])
+    return levels, counts, parents
+
+
+def frostman_oracle(P: GridPointSet, s: float) -> list[tuple[int, ...]]:
+    """Recursive top-down selection: budget(Q) = min(ceil(2^((L-j)s)), sum of
+    child budgets), and each cube hands its quota to its children in
+    lexicographic order, each taking at most its own budget."""
+    L = P.level
+    kids: dict[tuple, set] = {}
+    for cell in map(tuple, P.cells.tolist()):
+        for j in range(L, 0, -1):
+            parent = tuple(c >> 1 for c in cell)
+            kids.setdefault((j - 1, parent), set()).add(cell)
+            cell = parent
+
+    @functools.cache
+    def budget(j: int, q: tuple) -> int:
+        if j == L:
+            return 1
+        below = sum(budget(j + 1, c) for c in kids[(j, q)])
+        return min(math.ceil(2.0 ** ((L - j) * s) - 1e-12), below)
+
+    def select(j: int, q: tuple, quota: int) -> list:
+        if j == L:
+            return [q] if quota > 0 else []
+        chosen = []
+        for c in sorted(kids[(j, q)]):
+            take = min(budget(j + 1, c), quota)
+            quota -= take
+            chosen += select(j + 1, c, take)
+        return chosen
+
+    root = (0,) * P.dim
+    return select(0, root, budget(0, root))
 
 
 def min_bins_oracle(counts: list[int], kappa: int) -> int:

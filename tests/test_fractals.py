@@ -73,9 +73,9 @@ class TestRandomTreeSet:
     def test_reproducible(self):
         a = gen_random_tree_set(2, 1.0, 9, seed=7)
         b = gen_random_tree_set(2, 1.0, 9, seed=7)
-        assert a.cell_set == b.cell_set
+        assert np.array_equal(a.cells, b.cells)
         c = gen_random_tree_set(2, 1.0, 9, seed=8)
-        assert a.cell_set != c.cell_set
+        assert not np.array_equal(a.cells, c.cells)
 
     def test_frozen_regression_seed42(self):
         P = gen_random_tree_set(2, 1.0, 10, seed=42)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dyadicproj.content import build_cover_tree
 from dyadicproj.grid import (
     DyadicCube,
     GridPointSet,
+    _unique_rows,
     coarsen,
     covering_number,
     dilate,
@@ -11,7 +13,7 @@ from dyadicproj.grid import (
     write_pointset,
 )
 
-from conftest import random_subset
+from conftest import cell_tuples, cover_tree_oracle, random_subset
 
 
 class TestDyadicCube:
@@ -61,6 +63,74 @@ class TestGridPointSet:
         assert len(a.union(b)) == 3
         assert a.difference(b).cells.tolist() == [[0]]
         assert a.issubset(a.union(b))
+
+
+def _shared_prefix_rows(rng, dim: int, level: int, n: int = 300) -> np.ndarray:
+    """Rows whose coordinates each take one of three values per column, so
+    rows share long prefixes and repeat, with the repeats shuffled in."""
+    pool = rng.integers(0, 1 << level, size=(3, dim))
+    rows = pool[rng.integers(0, 3, size=(n, dim)), np.arange(dim)]
+    return rng.permutation(np.concatenate([rows, rows[::7]]))
+
+
+class TestWideRows:
+    """Row primitives where dim * level exceeds the 63 bits of one int64 key,
+    against tuple oracles."""
+
+    CASES = [(4, 20), (8, 20), (1, 20), (1, 3), (3, 1)]
+
+    @pytest.mark.parametrize("dim, level", CASES)
+    def test_set_ops(self, rng, dim, level):
+        a = _shared_prefix_rows(rng, dim, level)
+        b = np.concatenate([a[::2], _shared_prefix_rows(rng, dim, level)])
+        P, Q = GridPointSet(dim, level, a), GridPointSet(dim, level, b)
+        A, B = cell_tuples(a), cell_tuples(b)
+        assert P.cells.tolist() == [list(c) for c in A]
+        assert Q.cells.tolist() == [list(c) for c in B]
+        for j in range(level + 1):
+            assert covering_number(P, j) == len(cell_tuples(a >> (level - j)))
+        assert P.difference(Q).cells.tolist() == [list(c) for c in sorted(set(A) - set(B))]
+        assert P.issubset(Q) == (set(A) <= set(B))
+        assert GridPointSet(dim, level, a[::2]).issubset(P)
+        assert P.issubset(P.union(Q))
+        assert [c in Q for c in A] == [c in set(B) for c in A]
+        assert np.array(A[0]) in P
+        assert (0,) * (dim + 1) not in P
+        assert (1 << level,) * dim not in P
+        assert (-1,) * dim not in P
+
+    @pytest.mark.parametrize("dim", [1, 4, 8])
+    def test_empty(self, dim):
+        E = GridPointSet(dim, 20, np.empty((0, dim), dtype=np.int64))
+        P = GridPointSet.from_cells(dim, 20, [(5,) * dim])
+        assert E.cells.shape == (0, dim)
+        assert covering_number(E, 3) == 0
+        assert len(E.difference(P)) == 0
+        assert P.difference(E).cells.tolist() == [[5] * dim]
+        assert E.issubset(P) and not P.issubset(E)
+        assert (5,) * dim not in E
+
+    @pytest.mark.parametrize("dim, level", CASES)
+    def test_cover_tree(self, rng, dim, level):
+        P = GridPointSet(dim, level, _shared_prefix_rows(rng, dim, level))
+        tree = build_cover_tree(P)
+        levels, counts, parents = cover_tree_oracle(P)
+        for j in range(level + 1):
+            assert tree.levels[j].tolist() == [list(q) for q in levels[j]]
+            assert tree.counts[j].tolist() == counts[j]
+            assert tree.parents[j].tolist() == parents[j]
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_unique_rows_matches_numpy(self, rng, dim):
+        for rows in (
+            _shared_prefix_rows(rng, dim, 20),
+            rng.integers(-3, 3, size=(200, dim)),
+            np.empty((0, dim), dtype=np.int64),
+        ):
+            uniq, inverse = _unique_rows(rows)
+            want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+            assert np.array_equal(uniq, want)
+            assert np.array_equal(inverse, want_inverse.ravel())
 
 
 class TestCoveringNumber:
@@ -125,7 +195,7 @@ class TestDilate:
             r, rp = int(rng.integers(0, 3)), int(rng.integers(0, 3))
             two_step = dilate(dilate(P, r), rp)
             one_step = dilate(P, r + rp)
-            assert two_step.cell_set == one_step.cell_set
+            assert np.array_equal(two_step.cells, one_step.cells)
 
 
 class TestCoarsen:
@@ -142,7 +212,7 @@ class TestPointsetFormat:
         write_pointset(P, path)
         Q = read_pointset(path)
         assert (Q.dim, Q.level) == (P.dim, P.level)
-        assert Q.cell_set == P.cell_set
+        assert np.array_equal(Q.cells, P.cells)
 
     def test_rows_lexicographic(self, tmp_path):
         P = GridPointSet.from_cells(2, 2, [(3, 0), (0, 2), (0, 1)])
@@ -157,6 +227,25 @@ class TestPointsetFormat:
         path.write_text("1 2 2\n1\n1\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_pointset(path)
+
+    def test_row_width_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 2\n0 1\n3\n")
+        with pytest.raises(ValueError, match="'3' does not have 2 coordinates"):
+            read_pointset(path)
+
+    def test_duplicate_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 4\n0 1\n3 2\n1 1\n3  2\n")
+        with pytest.raises(ValueError, match="duplicate row '3  2'"):
+            read_pointset(path)
+
+    def test_empty_set_round_trip(self, tmp_path):
+        path = tmp_path / "points.txt"
+        write_pointset(GridPointSet.empty(3, 4), path)
+        assert path.read_text() == "3 4 0\n"
+        Q = read_pointset(path)
+        assert (Q.dim, Q.level, len(Q)) == (3, 4, 0)
 
     def test_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -17,7 +17,7 @@ from dyadicproj.regularity import (
     write_decomposition,
 )
 
-from conftest import random_subset, spread_constant_oracle
+from conftest import frostman_oracle, random_subset, spread_constant_oracle
 
 
 class TestMinimalSpreadConstant:
@@ -51,7 +51,7 @@ class TestHeavyDecompose:
         spread = minimal_spread_constant(P, 0.5)
         dec = heavy_decompose(P, 0.5, C=spread, L=4.0, tau=0.5)  # tau*C*L > spread
         assert len(dec.bad) == 0
-        assert dec.good.cell_set == P.cell_set
+        assert np.array_equal(dec.good.cells, P.cells)
 
     def test_cluster_goes_bad(self):
         P = gen_degenerate("cluster", n=1, level=10, cube_level=5)
@@ -139,7 +139,7 @@ class TestFrostmanSubset:
     def test_already_regular_is_identity(self):
         P = gen_cantor_product(QUARTER_CANTOR, 3)
         S = frostman_subset(P, 0.5)
-        assert S.cell_set == P.cell_set
+        assert np.array_equal(S.cells, P.cells)
 
     def test_full_grid_n2(self):
         P = gen_cantor_product(CantorPattern(2, ((0, 1), (0, 1))), 5)
@@ -167,3 +167,21 @@ class TestFrostmanSubset:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             frostman_subset(GridPointSet.empty(1, 3), 0.5)
+
+    def test_cap_beyond_int64(self, rng):
+        # ceil(2^(20 * 3.5)) at the root does not fit in int64
+        P = GridPointSet(4, 20, rng.integers(0, 1 << 20, size=(50, 4)))
+        S = frostman_subset(P, 3.5)
+        assert np.array_equal(S.cells, P.cells)
+
+    def test_matches_recursive_oracle(self, rng):
+        binding = 0
+        for _ in range(40):
+            dim = int(rng.integers(1, 3))
+            P = random_subset(rng, dim, int(rng.integers(2, 7 if dim == 1 else 5)))
+            for s in (0.5, 0.75, 1.0):
+                S = frostman_subset(P, min(s, dim), min_fraction=0.0)
+                want = frostman_oracle(P, min(s, dim))
+                assert S.cells.tolist() == [list(c) for c in sorted(want)]
+                binding += len(S) < len(P)
+        assert binding > 40
