@@ -1,6 +1,8 @@
-"""Time the pair kernels on both backends.
+"""Time the pair kernels on both backends: the plain-C library loaded
+with ctypes (compiled) and the numpy fallback (python).
 
-Run from the repository root after building the extension in place:
+Run from the repository root after building the C kernels in place (needs
+only a C compiler):
 
     python setup.py build_ext --inplace
     python benchmarks/bench_kernels.py

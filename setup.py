@@ -1,23 +1,15 @@
 from setuptools import Extension, setup
 
-# The compiled kernels are optional: the package falls back to the numpy
-# implementations in dyadicproj._core_py when the extension is missing.
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "dyadicproj._core",
-                ["src/dyadicproj/_core.pyx"],
-                # -ffp-contract=off keeps pair predicates bit-identical to the
-                # numpy fallback (no FMA contraction of x*x + y*y).
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+# The pair kernels are plain C loaded with ctypes (dyadicproj._core), not a
+# Python extension module: the build needs only a C compiler.
+# -ffp-contract=off keeps the pair predicates bit-identical to the numpy
+# fallback (no FMA contraction of d*d sums).
+setup(
+    ext_modules=[
+        Extension(
+            "dyadicproj._ckernels",
+            ["src/dyadicproj/_ckernels.c"],
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+        )
+    ]
+)

@@ -1,0 +1,73 @@
+"""ctypes loader for the compiled pair kernels in _ckernels.c.
+
+`setup.py build_ext --inplace` (or an install) builds the C file into a
+shared library next to this module.  `load` opens it and wraps its three
+functions under the names and signatures of the numpy fallback in
+_core_py.  ctypes releases the GIL during each foreign call, so threads can
+run the kernels side by side.
+"""
+
+from __future__ import annotations
+
+import ctypes
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+
+import numpy as np
+
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+_LL = ctypes.c_longlong
+
+
+def _rows(a: np.ndarray, ndim: int) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != ndim or (ndim == 2 and a.shape[1] == 0):
+        raise ValueError(f"expected a {ndim}-D array of points, got shape {a.shape}")
+    return a
+
+
+class CompiledKernels:
+    """The three pair kernels of one loaded shared library."""
+
+    def __init__(self, path):
+        lib = ctypes.CDLL(str(path))
+        lib.pair_count_sorted_1d.argtypes = [_DOUBLE_P, _LL, ctypes.c_double]
+        lib.pair_count_sorted_1d.restype = _LL
+        lib.pair_count_nd.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_double]
+        lib.pair_count_nd.restype = _LL
+        lib.riesz_pair_sum.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_int]
+        lib.riesz_pair_sum.restype = ctypes.c_double
+        self._lib = lib
+
+    def pair_count_sorted_1d(self, z: np.ndarray, delta: float) -> int:
+        """Ordered pairs (i, j), diagonal included, with (z[j]-z[i])^2 <= delta^2.
+
+        z must be sorted ascending.
+        """
+        z = _rows(z, 1)
+        return self._lib.pair_count_sorted_1d(z.ctypes.data_as(_DOUBLE_P), z.shape[0], delta)
+
+    def pair_count_nd(self, x: np.ndarray, delta: float) -> int:
+        """Ordered pairs (diagonal included) whose summed squared differences
+        are <= delta^2.  Rows must be sorted by the first coordinate."""
+        x = _rows(x, 2)
+        n, m = x.shape
+        return self._lib.pair_count_nd(x.ctypes.data_as(_DOUBLE_P), n, m, delta)
+
+    def riesz_pair_sum(self, pts: np.ndarray, power: int) -> float:
+        """Sum over ordered distinct pairs of |x - y|^-power."""
+        pts = _rows(pts, 2)
+        n, m = pts.shape
+        return self._lib.riesz_pair_sum(pts.ctypes.data_as(_DOUBLE_P), n, m, power)
+
+
+def load(path=None) -> CompiledKernels | None:
+    """Open the library at `path`, by default the build beside this module;
+    None when there is no such build."""
+    if path is None:
+        here = Path(__file__).resolve().parent
+        built = [here / f"_ckernels{suffix}" for suffix in EXTENSION_SUFFIXES]
+        path = next((p for p in built if p.is_file()), None)
+        if path is None:
+            return None
+    return CompiledKernels(path)

@@ -1,8 +1,9 @@
 """Pure-numpy fallback for the compiled pair kernels.
 
-Counting predicates match dyadicproj._core exactly (same subtractions, same
-comparison directions), so the two backends agree integer-for-integer; the
-floating riesz sum agrees to rounding.
+Counting predicates match _ckernels.c exactly (squared differences summed
+over the coordinates in the same order, compared with <= delta*delta), so
+the two backends agree integer-for-integer; the floating riesz sum agrees
+to rounding.
 """
 
 from __future__ import annotations
@@ -13,16 +14,48 @@ _CHUNK = 2048
 
 
 def pair_count_sorted_1d(z: np.ndarray, delta: float) -> int:
-    """Ordered pairs (i, j), diagonal included, with z[j] in [z[i]-d, z[i]+d]."""
-    if z.shape[0] == 0:
+    """Ordered pairs (i, j), diagonal included, with (z[j]-z[i])^2 <= delta^2.
+
+    z must be sorted ascending, so the predicate holds on a run j = i+1 ..
+    end[i]-1.  searchsorted on z + delta -/+ slack guesses that end within
+    [lo, hi); the guess is kept only where the predicate confirms it at
+    lo - 1 and hi, and a bisection on the predicate finishes every row whose
+    bracket is not yet a single point.  The slack (far above the rounding of
+    z + delta) only keeps the brackets narrow; correctness rests on the
+    confirmation and on monotonicity in j.
+    """
+    n = z.shape[0]
+    if n == 0:
         return 0
-    hi = np.searchsorted(z, z + delta, side="right")
-    lo = np.searchsorted(z, z - delta, side="left")
-    return int((hi - lo).sum())
+    d2max = delta * delta
+    rows = np.arange(n)
+    first = rows + 1
+
+    def close(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        d = z[j] - z[i]
+        return d * d <= d2max
+
+    slack = 2.0**-40 * (float(np.abs(z).max()) + delta)
+    lo = np.maximum(np.searchsorted(z, z + (delta - slack), side="left"), first)
+    hi = np.maximum(np.searchsorted(z, z + (delta + slack), side="right"), first)
+    wrong = (lo > first) & ~close(rows, lo - 1)
+    wrong |= (hi < n) & close(rows, np.minimum(hi, n - 1))
+    lo[wrong] = first[wrong]
+    hi[wrong] = n
+    while True:
+        act = np.flatnonzero(lo < hi)
+        if act.size == 0:
+            break
+        mid = (lo[act] + hi[act]) >> 1
+        ok = close(act, mid)
+        lo[act[ok]] = mid[ok] + 1
+        hi[act[~ok]] = mid[~ok]
+    return int(2 * (lo - first).sum() + n)
 
 
 def pair_count_nd(x: np.ndarray, delta: float) -> int:
-    """Ordered pairs (diagonal included) with Euclidean distance <= delta."""
+    """Ordered pairs (diagonal included) whose squared differences, summed
+    over the coordinates, are <= delta^2: 2 * (close pairs j > i) + n."""
     n, m = x.shape
     if n == 0:
         return 0
@@ -30,14 +63,16 @@ def pair_count_nd(x: np.ndarray, delta: float) -> int:
     close = 0
     for a in range(0, n, _CHUNK):
         xa = x[a : a + _CHUNK]
-        for b in range(0, n, _CHUNK):
+        for b in range(a, n, _CHUNK):
             xb = x[b : b + _CHUNK]
             acc = np.zeros((xa.shape[0], xb.shape[0]))
             for t in range(m):
                 d = xa[:, t, None] - xb[None, :, t]
                 acc += d * d
-            close += int((acc <= d2max).sum())
-    return close  # the diagonal is included in the block counts
+            hits = int((acc <= d2max).sum())
+            # a diagonal block is symmetric and holds the n_a self-pairs
+            close += (hits - xa.shape[0]) // 2 if a == b else hits
+    return 2 * close + n
 
 
 def riesz_pair_sum(pts: np.ndarray, power: int) -> float:

@@ -103,13 +103,21 @@ class DyadicCover:
     level_multiplicity: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        keys = {(c.level, c.coords) for c in self.cubes}
-        if len(keys) != len(self.cubes):
+        dims = {c.dim for c in self.cubes}
+        if len(dims) > 1:
+            raise ValueError("cover cubes differ in dimension")
+        levels = np.array([c.level for c in self.cubes], dtype=np.int64)
+        coords = np.array([c.coords for c in self.cubes], dtype=np.int64)
+        coords = coords.reshape(len(levels), max(dims, default=0))
+        if len(_unique_rows(np.column_stack([levels, coords]))[0]) != len(levels):
             raise ValueError("duplicate cube in cover")
-        for c in self.cubes:
-            for a in range(c.level):
-                if (a, tuple(q >> (c.level - a) for q in c.coords)) in keys:
-                    raise ValueError("cover cubes are not an antichain")
+        # every cube finer than level a, shifted to its level-a ancestor,
+        # must miss the level-a cubes
+        for a in np.unique(levels)[:-1].tolist():
+            finer = levels > a
+            ancestors = coords[finer] >> (levels[finer] - a)[:, None]
+            if _rows_in(ancestors, coords[levels == a]).any():
+                raise ValueError("cover cubes are not an antichain")
         mult: dict[int, int] = {}
         for c in self.cubes:
             mult[c.level] = mult.get(c.level, 0) + 1

@@ -1,29 +1,36 @@
 """Backend selection for the hot pair kernels.
 
-The compiled extension (dyadicproj._core, Cython) is used when it imported
-successfully; otherwise the numpy fallback (_core_py) takes over.  Setting
+The compiled kernels (_ckernels.c, built by setup.py and loaded with ctypes
+by _core) are used when the shared library is present; otherwise the numpy
+fallback (_core_py) takes over, with a RuntimeWarning at import.  Setting
 the environment variable DYADICPROJ_PURE_PYTHON=1 before import forces the
-fallback.  Both backends implement the same three functions with matching
-integer results.
+fallback without a warning.  Both backends implement the same three
+functions with the same counting predicate, so they return equal integers.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
-from . import _core_py
+from . import _core, _core_py
 
-try:
-    from . import _core  # type: ignore[attr-defined]
-except ImportError:  # extension not built
-    _core = None
+_compiled = _core.load()
 
 if os.environ.get("DYADICPROJ_PURE_PYTHON"):
     _active = _core_py
+elif _compiled is None:
+    warnings.warn(
+        "dyadicproj: compiled pair kernels not built (run `python setup.py "
+        "build_ext --inplace` or install with a C compiler); using the slower "
+        "numpy fallback",
+        RuntimeWarning,
+    )
+    _active = _core_py
 else:
-    _active = _core if _core is not None else _core_py
+    _active = _compiled
 
 __all__ = [
     "backend_name",
@@ -34,18 +41,23 @@ __all__ = [
 
 
 def backend_name() -> str:
-    return "compiled" if _active is not None and _active is _core else "python"
+    return "compiled" if _active is _compiled else "python"
 
 
 def available_backends() -> dict:
     out = {"python": _core_py}
-    if _core is not None:
-        out["compiled"] = _core
+    if _compiled is not None:
+        out["compiled"] = _compiled
     return out
 
 
 def coincidence_count(coords: np.ndarray, delta: float, backend=None) -> int:
-    """Ordered pairs (diagonal included) of rows within Euclidean distance delta."""
+    """Ordered pairs (diagonal included) of rows within Euclidean distance delta.
+
+    A pair is close when its squared differences, summed over the
+    coordinates, are <= delta*delta; each unordered pair is tested once, so
+    the count is 2 * (close pairs) + len(coords).
+    """
     impl = backend or _active
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     if coords.ndim != 2:

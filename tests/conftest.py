@@ -70,14 +70,22 @@ def min_cover_value_oracle(P: GridPointSet, s: float, j_min: int = 0):
 
 
 def pair_energy_oracle(coords: np.ndarray, delta: float) -> int:
-    """Direct double loop over ordered pairs, diagonal included."""
-    count = 0
-    n = coords.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if np.linalg.norm(coords[i] - coords[j]) <= delta:
-                count += 1
-    return count
+    """Ordered pairs, diagonal included, in plain Python floats.
+
+    The shared pair predicate: for j > i, squared coordinate differences
+    summed in coordinate order are <= delta*delta; the count is
+    2 * (close pairs) + n.
+    """
+    rows = np.asarray(coords, dtype=np.float64).tolist()
+    d2max = delta * delta
+    close = 0
+    for i, a in enumerate(rows):
+        for b in rows[i + 1 :]:
+            acc = 0.0
+            for s, t in zip(a, b):
+                acc += (s - t) * (s - t)
+            close += acc <= d2max
+    return 2 * close + len(rows)
 
 
 def spread_constant_oracle(P: GridPointSet, s: float) -> float:

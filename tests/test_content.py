@@ -142,6 +142,35 @@ class TestOptimalCover:
             optimal_cover(GridPointSet.empty(1, 2), 0.5)
 
 
+def _cover(*cubes):
+    return DyadicCover(tuple(DyadicCube(j, c) for j, c in cubes), 1.0, 0.0)
+
+
+class TestDyadicCoverAntichain:
+    def test_valid_antichain(self):
+        # siblings, cousins and cubes whose coords would collide after a
+        # shift of the wrong length, across four levels
+        cover = _cover((1, (1, 1)), (2, (0, 1)), (2, (1, 0)), (3, (1, 0)), (4, (0, 8)), (4, (2, 2)))
+        assert cover.level_multiplicity == {1: 1, 2: 2, 3: 1, 4: 2}
+        assert _cover().level_multiplicity == {}
+
+    def test_duplicate_cube(self):
+        with pytest.raises(ValueError, match="duplicate cube"):
+            _cover((2, (1, 3)), (3, (0, 0)), (2, (1, 3)))
+
+    @pytest.mark.parametrize(
+        "coarse,fine",
+        [((0, (0, 0)), (3, (5, 2))), ((2, (1, 3)), (3, (3, 7))), ((1, (1, 0)), (4, (15, 0)))],
+    )
+    def test_nested_pair_across_levels(self, coarse, fine):
+        with pytest.raises(ValueError, match="not an antichain"):
+            _cover((4, (0, 0)), fine, (2, (0, 2)), coarse)
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="dimension"):
+            _cover((1, (0,)), (1, (0, 1)))
+
+
 class TestDeltaSSets:
     def test_single_cube(self):
         P = GridPointSet.from_cells(1, 3, [(4,)])

@@ -1,13 +1,54 @@
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dyadicproj import _core_py
+from dyadicproj import _core, _core_py
+from dyadicproj.grid import GridPointSet
 from dyadicproj.kernels import (
     available_backends,
     backend_name,
     coincidence_count,
     riesz_pair_sum,
 )
+from dyadicproj.projection import Plane, project_points
+
+from conftest import pair_energy_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def impls(tmp_path_factory):
+    """Both backends, the compiled one built from _ckernels.c by setup.py
+    (same compiler and flags as an install) into a temporary directory."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    out = tmp_path_factory.mktemp("ckernels")
+    subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=ROOT, check=True, capture_output=True, timeout=300,
+    )
+    (lib,) = (out / "lib" / "dyadicproj").glob("_ckernels*")
+    return {"python": _core_py, "compiled": _core.load(lib)}
+
+
+@pytest.mark.parametrize("pure,warns", [("", True), ("1", False)])
+def test_missing_library_warns_at_import(tmp_path, pure, warns):
+    src = Path(_core.__file__).parent
+    shutil.copytree(src, tmp_path / "dyadicproj", ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    env = {"PATH": "", "PYTHONPATH": str(tmp_path), "DYADICPROJ_PURE_PYTHON": pure}
+    code = "from dyadicproj import kernels; print(kernels.backend_name())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["python"]
+    assert ("RuntimeWarning" in proc.stderr) == warns
 
 
 def test_backend_reports_a_name():
@@ -15,15 +56,7 @@ def test_backend_reports_a_name():
     assert "python" in available_backends()
 
 
-def _both():
-    impls = available_backends()
-    if "compiled" not in impls:
-        pytest.skip("compiled extension not built")
-    return impls
-
-
-def test_backends_agree_on_1d_counts():
-    impls = _both()
+def test_backends_agree_on_1d_counts(impls):
     rng = np.random.default_rng(5)
     for _ in range(20):
         z = np.sort(rng.random(int(rng.integers(1, 400))))
@@ -32,8 +65,7 @@ def test_backends_agree_on_1d_counts():
         assert len(set(got.values())) == 1
 
 
-def test_backends_agree_on_nd_counts():
-    impls = _both()
+def test_backends_agree_on_nd_counts(impls):
     rng = np.random.default_rng(6)
     for dim in (2, 3):
         for _ in range(10):
@@ -45,8 +77,7 @@ def test_backends_agree_on_nd_counts():
             assert len(set(got.values())) == 1
 
 
-def test_backends_agree_on_knife_edge_duplicates():
-    impls = _both()
+def test_backends_agree_on_knife_edge_duplicates(impls):
     # exact duplicates and points exactly delta apart
     z = np.array([0.25, 0.25, 0.25, 0.5, 0.75])
     got = {k: int(v.pair_count_sorted_1d(z, 0.25)) for k, v in impls.items()}
@@ -56,8 +87,7 @@ def test_backends_agree_on_knife_edge_duplicates():
     assert len(set(got.values())) == 1
 
 
-def test_backends_agree_on_riesz_to_rounding():
-    impls = _both()
+def test_backends_agree_on_riesz_to_rounding(impls):
     rng = np.random.default_rng(7)
     pts = rng.random((500, 2))
     for power in (1, 2, 3):
@@ -89,6 +119,42 @@ def test_dispatcher_riesz_matches_brute_force():
         if i != j
     )
     assert riesz_pair_sum(pts, 1) == pytest.approx(brute, rel=1e-10)
+
+
+_R2 = np.sqrt(0.5)
+_R3 = np.sqrt(1.0 / 3.0)
+# axis-aligned, diagonal and 3-4-5 frames: grid centres project onto
+# lattices whose spacings tie exactly with multiples of the grid scale
+TIE_FRAMES = {
+    (2, 1): [[[1, 0]], [[0, 1]], [[_R2, _R2]], [[_R2, -_R2]], [[0.6, 0.8]], [[0.8, -0.6]]],
+    (3, 1): [[[1, 0, 0]], [[_R2, 0, _R2]], [[_R3, _R3, _R3]], [[0, 0.6, 0.8]]],
+    (3, 2): [
+        [[1, 0, 0], [0, 1, 0]],
+        [[_R2, _R2, 0], [0, 0, 1]],
+        [[_R2, -_R2, 0], [_R3, _R3, _R3]],
+        [[0.6, 0.8, 0], [0, 0, 1]],
+        [[0.6, 0.8, 0], [-0.8, 0.6, 0]],
+    ],
+}
+TIE_SCALES = (0.5, 1.0, np.sqrt(2.0), 1.2, 2.0, 2.5)
+
+
+@pytest.mark.parametrize("dim,m", sorted(TIE_FRAMES))
+def test_tie_heavy_frames_count_symmetrically(impls, dim, m):
+    rng = np.random.default_rng(10 * dim + m)
+    for trial in range(60):
+        level = int(rng.integers(1, 4))
+        cells = rng.integers(0, 1 << level, size=(int(rng.integers(1, 30)), dim))
+        P = GridPointSet.from_cells(dim, level, cells)
+        for frame in TIE_FRAMES[dim, m]:
+            coords = project_points(Plane(dim, m, np.array(frame, dtype=float)), P)
+            scale = TIE_SCALES[trial % len(TIE_SCALES)] * P.delta
+            for delta in (scale, np.nextafter(scale, 0.0), np.nextafter(scale, 1.0)):
+                want = pair_energy_oracle(coords, delta)
+                for impl in impls.values():
+                    got = coincidence_count(coords, delta, backend=impl)
+                    assert (got - len(P)) % 2 == 0
+                    assert got == want
 
 
 def test_python_backend_explicit():
