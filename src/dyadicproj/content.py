@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import ExponentContext
-from .grid import DyadicCube, GridPointSet, _rows_in, _unique_rows, dilate
+from .grid import DyadicCube, GridPointSet, _row_index, _unique_rows, dilate
 
 __all__ = [
     "CoverTree",
@@ -116,7 +116,7 @@ class DyadicCover:
         for a in np.unique(levels)[:-1].tolist():
             finer = levels > a
             ancestors = coords[finer] >> (levels[finer] - a)[:, None]
-            if _rows_in(ancestors, coords[levels == a]).any():
+            if (_row_index(ancestors, coords[levels == a]) >= 0).any():
                 raise ValueError("cover cubes are not an antichain")
         mult: dict[int, int] = {}
         for c in self.cubes:
@@ -277,7 +277,7 @@ def strong_cover_misses(
     covered = np.zeros(len(P), dtype=bool)
     for k, Pk in family.items():
         target = dilate(Pk, radius)
-        covered |= _rows_in(P.cells >> (P.level - k), target.cells)
+        covered |= _row_index(P.cells >> (P.level - k), target.cells) >= 0
     return int((~covered).sum())
 
 

@@ -6,8 +6,9 @@ at its center.  All coordinates are 64-bit integers and levels are capped at
 20, which keeps squared pairwise distances (in cell units) well inside int64.
 
 Cell rows are kept in lexicographic order.  `_unique_rows` (a `np.lexsort`
-and a comparison of adjacent rows) does every dedup, grouping and membership
-test on them, at any width: one fused int64 key would not fit dim * level.
+and a comparison of adjacent rows) does every dedup, grouping, membership
+test and row lookup on them, at any width: one fused int64 key would not fit
+dim * level.
 """
 
 from __future__ import annotations
@@ -99,12 +100,13 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], inverse
 
 
-def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the rows of `a` that occur in `b`."""
+def _row_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Position in `b` of each row of `a` (one of them when `b` repeats the
+    row), or -1 where the row is absent from `b`."""
     uniq, inverse = _unique_rows(np.concatenate([b, a]))
-    in_b = np.zeros(len(uniq), dtype=bool)
-    in_b[inverse[: len(b)]] = True
-    return in_b[inverse[len(b) :]]
+    where = np.full(len(uniq), -1, dtype=np.intp)
+    where[inverse[: len(b)]] = np.arange(len(b))
+    return where[inverse[len(b) :]]
 
 
 def _as_cell_array(dim: int, cells) -> np.ndarray:
@@ -173,11 +175,12 @@ class GridPointSet:
     def difference(self, other: "GridPointSet") -> "GridPointSet":
         if (other.dim, other.level) != (self.dim, self.level):
             raise ValueError("difference requires matching dim and level")
-        return GridPointSet(self.dim, self.level, self.cells[~_rows_in(self.cells, other.cells)])
+        absent = _row_index(self.cells, other.cells) < 0
+        return GridPointSet(self.dim, self.level, self.cells[absent])
 
     def issubset(self, other: "GridPointSet") -> bool:
         return (self.dim, self.level) == (other.dim, other.level) and bool(
-            _rows_in(self.cells, other.cells).all()
+            (_row_index(self.cells, other.cells) >= 0).all()
         )
 
 

@@ -11,6 +11,7 @@ from below by the set's dyadic content.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._exact import _iroot, snap_exponent
 from .content import build_cover_tree, optimal_cover
-from .grid import DyadicCube, GridPointSet, write_pointset
+from .grid import DyadicCube, GridPointSet, _row_index, write_pointset
 
 __all__ = [
     "Decomposition",
@@ -60,7 +61,8 @@ class Decomposition:
 
     Every bad cell lies under a cube of `maximal_heavy` (an antichain of
     heavy cubes with no heavy strict ancestor); no good cell does.  `net` is
-    the greedy separated subset of the good part used for regularity claims.
+    the greedy subset of the good part, pairwise at least two cells apart,
+    used for regularity claims.
     """
 
     good: GridPointSet
@@ -93,7 +95,6 @@ def heavy_decompose(
     C: float,
     L: float,
     tau: float | None = None,
-    net_separation: int = 2,
 ) -> Decomposition:
     """Split P into a bad part under heavy cubes and a regular good part.
 
@@ -104,9 +105,10 @@ def heavy_decompose(
     over maximal heavy cubes is at most |P| * delta^s / (tau*C*L), hence at
     most 1/(tau*L) whenever |P| <= C * delta^-s.
 
-    The net keeps a greedy maximal subset of the good cells separated by at
-    least net_separation cells (the default, one full cell of gap, makes
-    every good cell lie within one cell of the net).
+    The net keeps a greedy maximal subset of the good cells pairwise at
+    least two cells apart (one full cell of gap), so every good cell lies
+    within one cell of the net.  `maximal_heavy` is in (level, coords)
+    order.
     """
     if not 0.0 < s <= P.dim:
         raise ValueError(f"exponent s={s} outside (0, {P.dim}]")
@@ -116,8 +118,6 @@ def heavy_decompose(
         tau = 4.0 ** -P.dim
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau={tau} outside (0, 1]")
-    if net_separation < 1:
-        raise ValueError("net separation must be >= 1 cell")
     if len(P) == 0:
         empty = GridPointSet.empty(P.dim, P.level)
         return Decomposition(empty, empty, (), (s, C, L, tau), empty)
@@ -144,43 +144,37 @@ def heavy_decompose(
     # the leaf level is P.cells in order, so `settled` now marks the bad cells
     bad = GridPointSet(P.dim, P.level, P.cells[settled])
     good = GridPointSet(P.dim, P.level, P.cells[~settled])
-    net = _greedy_net(good, net_separation)
-    maximal.sort(key=lambda c: (c.level, c.coords))
+    net = _greedy_net(good)
     return Decomposition(good, bad, tuple(maximal), (s, float(C), float(L), float(tau)), net)
 
 
-def _greedy_net(P: GridPointSet, separation: int) -> GridPointSet:
-    """Greedy maximal subset with pairwise Chebyshev distance >= separation
-    cells, taken in lexicographic order.  Distinct cells are always at least
-    one cell apart, so separation 1 keeps everything."""
-    if separation <= 1 or len(P) <= 1:
-        return P
-    taken: list[tuple[int, ...]] = []
-    buckets: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for row in P.cells:
-        key = tuple((row // separation).tolist())
-        ok = True
-        for dk in _bucket_neighborhood(key):
-            for other in buckets.get(dk, ()):
-                if np.abs(row - other).max() < separation:
-                    ok = False
-                    break
-            if not ok:
+def _greedy_net(P: GridPointSet) -> GridPointSet:
+    """Greedy maximal subset with pairwise Chebyshev distance >= 2 cells,
+    taken in lexicographic order: a cell is taken iff none of its earlier
+    neighbours (Chebyshev distance 1) was."""
+    cells = P.cells
+    n = len(cells)
+    # the earlier neighbours of c are c + o over the lexicographically
+    # negative o in {-1,0,1}^dim: the first half of the product
+    offsets = list(itertools.product((-1, 0, 1), repeat=P.dim))[: (3**P.dim - 1) // 2]
+    later, earlier = [], []
+    for o in offsets:
+        at = _row_index(cells + o, cells)
+        hit = np.flatnonzero(at >= 0)
+        later.append(hit)
+        earlier.append(at[hit])
+    later = np.concatenate(later)
+    order = np.argsort(later)
+    neighbours = np.concatenate(earlier)[order].tolist()
+    bounds = np.searchsorted(later[order], np.arange(n + 1)).tolist()
+    taken = [False] * n
+    for i in range(n):
+        for j in neighbours[bounds[i] : bounds[i + 1]]:
+            if taken[j]:
                 break
-        if ok:
-            taken.append(tuple(row.tolist()))
-            buckets.setdefault(key, []).append(row)
-    return GridPointSet.from_cells(P.dim, P.level, taken)
-
-
-def _bucket_neighborhood(key: tuple[int, ...]):
-    if len(key) == 1:
-        for d in (-1, 0, 1):
-            yield (key[0] + d,)
-        return
-    for d in (-1, 0, 1):
-        for rest in _bucket_neighborhood(key[1:]):
-            yield (key[0] + d, *rest)
+        else:
+            taken[i] = True
+    return GridPointSet(P.dim, P.level, cells[np.array(taken, dtype=bool)])
 
 
 def _ceil_pow2(p: int, q: int, e: int) -> int:

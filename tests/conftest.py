@@ -120,6 +120,16 @@ def cover_tree_oracle(P: GridPointSet):
     return levels, counts, parents
 
 
+def greedy_net_oracle(P: GridPointSet) -> list[tuple[int, ...]]:
+    """All-pairs greedy in lexicographic order: a cell is taken iff no
+    taken cell is within Chebyshev distance < 2 of it."""
+    taken: list[tuple[int, ...]] = []
+    for cell in cell_tuples(P.cells):
+        if all(max(abs(a - b) for a, b in zip(cell, t)) >= 2 for t in taken):
+            taken.append(cell)
+    return taken
+
+
 def frostman_oracle(P: GridPointSet, s: float) -> list[tuple[int, ...]]:
     """Recursive top-down selection: budget(Q) = min(ceil(2^((L-j)s)), sum of
     child budgets), and each cube hands its quota to its children in

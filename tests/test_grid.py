@@ -5,6 +5,7 @@ from dyadicproj.content import build_cover_tree
 from dyadicproj.grid import (
     DyadicCube,
     GridPointSet,
+    _row_index,
     _unique_rows,
     coarsen,
     covering_number,
@@ -119,6 +120,26 @@ class TestWideRows:
             assert tree.levels[j].tolist() == [list(q) for q in levels[j]]
             assert tree.counts[j].tolist() == counts[j]
             assert tree.parents[j].tolist() == parents[j]
+
+    @pytest.mark.parametrize("dim, level", CASES)
+    def test_row_index(self, rng, dim, level):
+        b = GridPointSet(dim, level, _shared_prefix_rows(rng, dim, level)).cells
+        position = {row: i for i, row in enumerate(map(tuple, b.tolist()))}
+        a = np.concatenate(
+            [
+                b[::-1],
+                _shared_prefix_rows(rng, dim, level),
+                b - 1,  # negative coordinates where b has a 0
+                b + 1,  # 2^level where b has 2^level - 1
+                np.full((1, dim), -1),
+                np.full((1, dim), 1 << level),
+            ]
+        )
+        got = _row_index(a, b)
+        assert got.tolist() == [position.get(row, -1) for row in map(tuple, a.tolist())]
+        assert (got >= 0).any() and (got < 0).any()
+        assert _row_index(a, b[:0]).tolist() == [-1] * len(a)
+        assert _row_index(a[:0], b).shape == (0,)
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 8])
     def test_unique_rows_matches_numpy(self, rng, dim):

@@ -11,13 +11,14 @@ from dyadicproj.fractals import (
 from dyadicproj.grid import GridPointSet
 from dyadicproj.content import optimal_cover
 from dyadicproj.regularity import (
+    _greedy_net,
     frostman_subset,
     heavy_decompose,
     minimal_spread_constant,
     write_decomposition,
 )
 
-from conftest import frostman_oracle, random_subset, spread_constant_oracle
+from conftest import frostman_oracle, greedy_net_oracle, random_subset, spread_constant_oracle
 
 
 class TestMinimalSpreadConstant:
@@ -94,6 +95,8 @@ class TestHeavyDecompose:
             P = gen_random_tree_set(2, 1.2, 8, seed=seed)
             C = len(P) * 2.0 ** (-8 * 1.2)
             dec = heavy_decompose(P, 1.2, C, L=32.0, tau=1 / 16)
+            keys = [(q.level, q.coords) for q in dec.maximal_heavy]
+            assert keys == sorted(keys)
             if len(dec.good) == 0:
                 continue
             again = heavy_decompose(dec.good, 1.2, C, L=32.0, tau=1 / 16)
@@ -133,6 +136,47 @@ class TestHeavyDecompose:
         assert (tmp_path / "bad.txt").exists()
         heavy = (tmp_path / "heavy.txt").read_text().splitlines()
         assert heavy[-1].startswith("value ")
+
+
+class TestGreedyNet:
+    """The net against the all-pairs lexicographic greedy."""
+
+    @staticmethod
+    def assert_oracle(P: GridPointSet):
+        assert _greedy_net(P).cells.tolist() == [list(c) for c in greedy_net_oracle(P)]
+
+    @pytest.mark.parametrize("dim, level", [(1, 5), (2, 3), (3, 2), (4, 2)])
+    def test_random_subsets(self, rng, dim, level):
+        for _ in range(6):
+            self.assert_oracle(random_subset(rng, dim, level))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_full_block_gives_even_lattice(self, dim):
+        P = gen_cantor_product(CantorPattern(2, ((0, 1),) * dim), 3)
+        assert len(P) == 8**dim
+        even = P.cells[(P.cells % 2 == 0).all(axis=1)]
+        assert np.array_equal(_greedy_net(P).cells, even)
+        self.assert_oracle(P)
+
+    def test_diagonal_line(self):
+        P = GridPointSet(2, 5, np.repeat(np.arange(32)[:, None], 2, axis=1))
+        assert _greedy_net(P).cells.tolist() == [[k, k] for k in range(0, 32, 2)]
+        self.assert_oracle(P)
+
+    def test_cantor_product(self):
+        self.assert_oracle(gen_cantor_product(CantorPattern(4, ((0, 2), (0, 3), (1, 2))), 2))
+
+    def test_empty_and_single_cell(self):
+        assert len(_greedy_net(GridPointSet.empty(3, 4))) == 0
+        P = GridPointSet.from_cells(3, 4, [(15, 0, 7)])
+        assert _greedy_net(P).cells.tolist() == [[15, 0, 7]]
+
+    def test_decomposition_net(self, rng):
+        for dim, level in [(1, 6), (2, 4), (3, 3)]:
+            P = random_subset(rng, dim, level)
+            dec = heavy_decompose(P, dim, C=1.0, L=4.0, tau=0.5)
+            assert len(dec.good) == len(P)
+            assert dec.net.cells.tolist() == [list(c) for c in greedy_net_oracle(P)]
 
 
 class TestFrostmanSubset:
