@@ -156,16 +156,32 @@ def _bin_level(m: int, delta: float) -> int:
     return lev
 
 
-def _project_bins(coords: np.ndarray, m: int, delta: float) -> tuple[np.ndarray, int]:
-    """Dyadic bin indices for projected coordinates plus a count of points
-    sitting within 1e-9*delta of a bin boundary (their bin assignment is a
-    coin flip at double precision)."""
+def _bin_profile(
+    coords: np.ndarray, m: int, delta: float, kappa: int
+) -> tuple[int, int]:
+    """Near-boundary count and fewest bins holding kappa points, from one
+    binning of the projected coordinates (N, m).
+
+    A point is near a boundary when one of its coordinates lies within
+    1e-9*delta of a bin face: its bin assignment is a coin flip at double
+    precision.  For m = 1 the bins of the sorted coordinates never
+    decrease, so bin occupancy is the run lengths of the bin indices.
+    """
     scale = float(1 << _bin_level(m, delta))
-    scaled = coords * scale
-    bins = np.floor(scaled).astype(np.int64)
+    scaled = (np.sort(coords[:, 0]) if m == 1 else coords) * scale
+    bins = np.floor(scaled)
     frac = scaled - bins
     near = np.minimum(frac, 1.0 - frac) / scale < 1e-9 * delta
-    return bins, int(near.any(axis=1).sum())
+    if m == 1:
+        n_boundary = int(near.sum())
+        edges = np.concatenate(([True], bins[1:] != bins[:-1], [True]))
+        counts = np.diff(np.flatnonzero(edges))
+    else:
+        n_boundary = int(near.any(axis=1).sum())
+        counts = np.bincount(_unique_rows(bins.astype(np.int64))[1])
+    counts[::-1].sort()
+    filled = np.cumsum(counts)
+    return n_boundary, int(np.searchsorted(filled, kappa) + 1)
 
 
 def min_projection_cover(
@@ -182,12 +198,7 @@ def min_projection_cover(
         delta = P.delta
     if not 1 <= kappa <= len(P):
         raise ValueError(f"kappa={kappa} outside [1, {len(P)}]")
-    coords = project_points(V, P)
-    bins, _ = _project_bins(coords, V.m, delta)
-    counts = np.bincount(_unique_rows(bins)[1])
-    counts[::-1].sort()
-    filled = np.cumsum(counts)
-    return int(np.searchsorted(filled, kappa) + 1)
+    return _bin_profile(project_points(V, P), V.m, delta, kappa)[1]
 
 
 class ClassifiedDirection(NamedTuple):
@@ -226,6 +237,14 @@ def classify_direction(
 
 @dataclass(frozen=True)
 class DirectionRecord:
+    """One sampled plane of a scan.
+
+    min_cover is the fewest projection bins holding kappa points;
+    n_boundary counts the projections with a coordinate within 1e-9*delta
+    of a bin face, whose bin assignment is not trustworthy at double
+    precision.
+    """
+
     index: int
     seed: int
     frame: np.ndarray
@@ -296,6 +315,9 @@ def direction_scan(
     n_pts = len(P)
     if kappa is None:
         kappa = max(1, min(n_pts, math.ceil(delta ** (-s + eps) - 1e-12)))
+    # an empty set is refused by classify_direction
+    if num_samples and n_pts and not 1 <= kappa <= n_pts:
+        raise ValueError(f"kappa={kappa} outside [1, {n_pts}]")
 
     def one(index: int) -> DirectionRecord:
         ss, seed = _derived_seed(master_seed, index)
@@ -304,9 +326,7 @@ def direction_scan(
         label, energy, threshold = classify_direction(
             P, V, delta, s, eps, threshold_slack
         )
-        coords = project_points(V, P)
-        _, n_boundary = _project_bins(coords, m, delta)
-        cover = min_projection_cover(P, V, delta, kappa)
+        n_boundary, cover = _bin_profile(project_points(V, P), m, delta, kappa)
         return DirectionRecord(
             index, seed, V.frame, energy, threshold, cover, label, n_boundary
         )

@@ -174,10 +174,38 @@ def min_bins_oracle(counts: list[int], kappa: int) -> int:
     return best
 
 
-def random_subset(rng: np.random.Generator, dim: int, level: int) -> GridPointSet:
-    """Non-empty uniform random subset of the full level grid."""
+def bin_side_oracle(m: int, delta: float) -> float:
+    """Largest dyadic side whose m-cube has diameter sqrt(m) * side <= delta."""
+    side = 1.0
+    while side * math.sqrt(m) > delta:
+        side /= 2.0
+    return side
+
+
+def bin_counts_oracle(coords: np.ndarray, delta: float) -> list[int]:
+    """Points per occupied projection bin, from a dict of bin tuples."""
+    rows = np.asarray(coords, dtype=np.float64).tolist()
+    side = bin_side_oracle(len(rows[0]), delta)
+    return list(Counter(tuple(math.floor(c / side) for c in row) for row in rows).values())
+
+
+def near_boundary_oracle(coords: np.ndarray, delta: float) -> int:
+    """Points with a coordinate within 1e-9*delta of a multiple of the bin
+    side, in plain Python floats."""
+    rows = np.asarray(coords, dtype=np.float64).tolist()
+    side = bin_side_oracle(len(rows[0]), delta)
+    return sum(
+        any(abs(c - round(c / side) * side) < 1e-9 * delta for c in row) for row in rows
+    )
+
+
+def random_subset(
+    rng: np.random.Generator, dim: int, level: int, max_cells: int | None = None
+) -> GridPointSet:
+    """Non-empty uniform random subset of the full level grid, of at most
+    max_cells cells when given."""
     total = (1 << level) ** dim
-    k = int(rng.integers(1, total + 1))
+    k = int(rng.integers(1, min(total, max_cells or total) + 1))
     picks = rng.choice(total, size=k, replace=False)
     cells = np.stack(
         [(picks >> (level * (dim - 1 - d))) & ((1 << level) - 1) for d in range(dim)],

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dyadicproj.fractals import CantorPattern, gen_cantor_product, gen_degenerate
+from dyadicproj.fractals import (
+    CantorPattern,
+    gen_cantor_product,
+    gen_degenerate,
+    gen_random_tree_set,
+)
 from dyadicproj.grid import GridPointSet
 from dyadicproj.projection import (
     Plane,
+    _bin_profile,
     classify_direction,
     coincidence_probability_exact,
     coincidence_probability_mc,
@@ -21,9 +27,47 @@ from dyadicproj.projection import (
     write_scan_report,
 )
 
-from conftest import min_bins_oracle, pair_energy_oracle, random_subset
+from conftest import (
+    bin_counts_oracle,
+    min_bins_oracle,
+    near_boundary_oracle,
+    pair_energy_oracle,
+    random_subset,
+)
 
 CANTOR2 = CantorPattern(4, ((0, 3), (0, 3)))
+
+# m-frames in R^(m+1): "axis" puts every center on a bin face at
+# delta = P.delta / 2; "3-4-5" puts some of them there, up to rounding
+FRAMES = {
+    "axis": {
+        1: [[1.0, 0.0]],
+        2: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        3: [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+    },
+    "3-4-5": {
+        1: [[0.6, 0.8]],
+        2: [[0.6, 0.8, 0.0], [0.48, -0.36, 0.8]],
+        3: [[0.6, 0.8, 0.0, 0.0], [-0.8, 0.6, 0.0, 0.0], [0.0, 0.0, 0.6, 0.8]],
+    },
+}
+
+
+def named_plane(frame: str, m: int, rng) -> Plane:
+    """An m-plane in R^(m+1): one of FRAMES, or a Haar draw for "haar"."""
+    if frame == "haar":
+        return haar_sample(m + 1, m, rng)
+    return Plane(m + 1, m, np.array(FRAMES[frame][m]))
+
+
+def greedy_cover(counts: list[int], kappa: int) -> int:
+    """Fewest bins reaching kappa, taking the fullest bins first."""
+    filled = 0
+    for used, c in enumerate(sorted(counts, reverse=True), 1):
+        filled += c
+        if filled >= kappa:
+            return used
+    raise ValueError("kappa exceeds the number of points")
 
 
 class TestPlane:
@@ -208,6 +252,17 @@ class TestMinProjectionCover:
             want = min_bins_oracle(counts.tolist(), kappa)
             assert min_projection_cover(P, V, delta, kappa) == want
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_exhaustive_subsets_planes(self, rng, m):
+        for _ in range(30):
+            P = random_subset(rng, m + 1, 2, 10)
+            V = haar_sample(m + 1, m, rng)
+            kappa = int(rng.integers(1, len(P) + 1))
+            delta = float(rng.uniform(0.05, 0.6))
+            counts = bin_counts_oracle(project_points(V, P), delta)
+            want = min_bins_oracle(counts, kappa)
+            assert min_projection_cover(P, V, delta, kappa) == want
+
     def test_kappa_validation(self, rng):
         P = random_subset(rng, 2, 2)
         V = haar_sample(2, 1, rng)
@@ -221,6 +276,52 @@ class TestMinProjectionCover:
             kappa = int(rng.integers(1, len(P) + 1))
             cover = min_projection_cover(P, V, kappa=kappa)
             assert pair_energy(P, V) >= kappa**2 / cover - 1e-9
+
+
+class TestBinProfile:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("frame", ["axis", "3-4-5", "haar"])
+    def test_matches_oracles(self, rng, m, frame):
+        near = total = 0
+        for _ in range(10):
+            P = random_subset(rng, m + 1, 3, 10)
+            V = named_plane(frame, m, rng)
+            coords = project_points(V, P)
+            for delta in (P.delta / 2, float(rng.uniform(0.02, 0.6))):
+                kappa = int(rng.integers(1, len(P) + 1))
+                n_boundary, cover = _bin_profile(coords, m, delta, kappa)
+                assert n_boundary == near_boundary_oracle(coords, delta)
+                assert cover == min_projection_cover(P, V, delta, kappa)
+                assert cover == min_bins_oracle(bin_counts_oracle(coords, delta), kappa)
+            near += near_boundary_oracle(coords, P.delta / 2)
+            total += len(P)
+        if frame == "axis":
+            assert near == total
+        elif frame == "3-4-5":
+            assert 0 < near < total
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("frame", ["axis", "3-4-5", "haar"])
+    def test_every_kappa_on_larger_sets(self, rng, m, frame):
+        P = gen_random_tree_set(m + 1, 1.6, 5, seed=m)
+        V = named_plane(frame, m, rng)
+        coords = project_points(V, P)
+        for delta in (P.delta / 2, P.delta, 4 * P.delta):
+            counts = bin_counts_oracle(coords, delta)
+            for kappa in range(1, len(P) + 1, 7):
+                n_boundary, cover = _bin_profile(coords, m, delta, kappa)
+                assert n_boundary == near_boundary_oracle(coords, delta)
+                assert cover == greedy_cover(counts, kappa)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_scan_records_match_oracles(self, m):
+        P = gen_random_tree_set(m + 1, 1.6, 4, seed=5)
+        delta = P.delta / 2
+        rep = direction_scan(P, delta, s=1.0, eps=0.1, num_samples=12, master_seed=4, m=m)
+        for r in rep.per_direction:
+            coords = project_points(Plane(m + 1, m, r.frame), P)
+            assert r.n_boundary == near_boundary_oracle(coords, delta)
+            assert r.min_cover == greedy_cover(bin_counts_oracle(coords, delta), rep.kappa)
 
 
 class TestClassifyDirection:
@@ -253,13 +354,30 @@ class TestDirectionScan:
         rep = direction_scan(P, num_samples=0, master_seed=1)
         assert rep.per_direction == () and rep.bad_fraction == 0.0
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_workers(self, tmp_path):
         P = gen_cantor_product(CANTOR2, 3)
         a = direction_scan(P, s=1.0, eps=0.1, num_samples=32, master_seed=9, workers=1)
         b = direction_scan(P, s=1.0, eps=0.1, num_samples=32, master_seed=9, workers=8)
         assert [r.energy for r in a.per_direction] == [r.energy for r in b.per_direction]
         assert [r.seed for r in a.per_direction] == [r.seed for r in b.per_direction]
         assert a.bad_fraction == b.bad_fraction
+        # the whole report, min_cover and boundary included
+        for m, Q in ((1, P), (2, gen_random_tree_set(3, 1.5, 4, seed=2))):
+            texts = []
+            for workers in (1, 2):
+                rep = direction_scan(
+                    Q, s=1.0, eps=0.1, num_samples=32, master_seed=9, m=m, workers=workers
+                )
+                write_scan_report(rep, tmp_path / f"m{m}-w{workers}.txt")
+                texts.append((tmp_path / f"m{m}-w{workers}.txt").read_text())
+            assert texts[0] == texts[1]
+
+    def test_kappa_validation(self):
+        P = gen_cantor_product(CANTOR2, 2)
+        with pytest.raises(ValueError, match="kappa"):
+            direction_scan(P, num_samples=1, kappa=len(P) + 1)
+        with pytest.raises(ValueError, match="kappa"):
+            direction_scan(P, num_samples=1, kappa=0)
 
     def test_budget_and_mean_energy_fields(self):
         P = gen_cantor_product(CANTOR2, 3)
