@@ -1,0 +1,7 @@
+"""`python3 -m dyadicproj ...` runs the command line interface."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

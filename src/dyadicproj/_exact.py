@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .grid import _unique_rows
+
 _SNAP_DENOMINATOR = 64
 _SNAP_RTOL = 1e-9
 _FLOAT_RTOL = 1e-12
@@ -93,11 +95,16 @@ class ExponentContext:
         """Sign of value(row) - 2^(-j*s) for each row of an int matrix whose
         column c counts cubes of level j + c; exact for snapped s."""
         signs = self._filter(rows, j)
-        if self.frac is not None:
+        undecided = np.flatnonzero(signs == 0)
+        if self.frac is not None and len(undecided):
+            # a level's undecided rows often repeat one self-similar tie
+            distinct, inverse = _unique_rows(rows[undecided])
             own = {j: 1}
-            for i in np.flatnonzero(signs == 0):
-                terms = {j + int(c): int(rows[i, c]) for c in np.flatnonzero(rows[i])}
-                signs[i] = self.compare(terms, own)
+            decided = [
+                self.compare({j + int(c): int(row[c]) for c in np.flatnonzero(row)}, own)
+                for row in distinct
+            ]
+            signs[undecided] = np.array(decided, dtype=np.int8)[inverse]
         return signs
 
     def compare(self, a: dict, b: dict) -> int:

@@ -5,10 +5,11 @@ k, so a cell is an n-vector of integers in [0, 2^k) and represents the point
 at its center.  All coordinates are 64-bit integers and levels are capped at
 20, which keeps squared pairwise distances (in cell units) well inside int64.
 
-Cell rows are kept in lexicographic order.  `_unique_rows` (a `np.lexsort`
-and a comparison of adjacent rows) does every dedup, grouping, membership
-test and row lookup on them, at any width: one fused int64 key would not fit
-dim * level.
+Cell rows are kept in lexicographic order.  `_unique_rows` (a `np.lexsort`,
+skipped when the rows are already in order, and a comparison of adjacent
+rows) does every dedup and grouping on them, and `_row_index` (a column by
+column search of rows in order) every membership test and row lookup, at
+any width: one fused int64 key would not fit dim * level.
 """
 
 from __future__ import annotations
@@ -61,37 +62,26 @@ class DyadicCube:
     def side(self) -> float:
         return 2.0 ** -self.level
 
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise ValueError("the root cube has no parent")
-        return DyadicCube(self.level - 1, tuple(c >> 1 for c in self.coords))
 
-    def ancestor(self, level: int) -> "DyadicCube":
-        if not 0 <= level <= self.level:
-            raise ValueError(f"ancestor level {level} outside [0, {self.level}]")
-        shift = self.level - level
-        return DyadicCube(level, tuple(c >> shift for c in self.coords))
-
-    def contains(self, other: "DyadicCube") -> bool:
-        """True if other is nested in (or equal to) this cube."""
-        if other.dim != self.dim or other.level < self.level:
+def _rows_sorted(rows: np.ndarray) -> bool:
+    """True when no row of an (N, d) integer array is lexicographically below
+    the row before it; one pass per column, O(N * d)."""
+    tied = np.ones(max(len(rows) - 1, 0), dtype=bool)  # equal so far to the row before
+    for c in range(rows.shape[1]):
+        col = rows[:, c]
+        if (tied & (col[1:] < col[:-1])).any():
             return False
-        return other.ancestor(self.level) == self
-
-    def contains_cell(self, level: int, cell: tuple[int, ...]) -> bool:
-        if level < self.level:
-            return False
-        shift = level - self.level
-        return all((c >> shift) == q for c, q in zip(cell, self.coords))
-
-    def center(self) -> np.ndarray:
-        return (2.0 * np.asarray(self.coords, dtype=np.float64) + 1.0) / float(1 << (self.level + 1))
+        tied &= col[1:] == col[:-1]
+        if not tied.any():
+            break
+    return True
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of an (N, d) integer array in lexicographic order, and
-    the index among them of every input row."""
-    order = np.lexsort(rows.T[::-1])
+    the index among them of every input row.  Rows already in order are not
+    sorted again."""
+    order = slice(None) if _rows_sorted(rows) else np.lexsort(rows.T[::-1])
     ordered = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -102,11 +92,40 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Position in `b` of each row of `a` (one of them when `b` repeats the
-    row), or -1 where the row is absent from `b`."""
-    uniq, inverse = _unique_rows(np.concatenate([b, a]))
-    where = np.full(len(uniq), -1, dtype=np.intp)
-    where[inverse[: len(b)]] = np.arange(len(b))
-    return where[inverse[len(b) :]]
+    row), or -1 where the row is absent from `b`.
+
+    `b` is searched column by column, after one lexsort unless its rows are
+    already in order, as the cells of a `GridPointSet` are: a row of `a`
+    keeps the first row of `b` that shares its prefix, and the next column is
+    looked up among the (prefix start, column value) keys of `b`, which then
+    increase.  A key is below len(b) * 2^MAX_LEVEL for cell coordinates, so
+    it fits in int64 at any dim * level.
+    """
+    if not _rows_sorted(b):
+        order = np.lexsort(b.T[::-1])
+        at = _row_index(a, b[order])
+        return np.where(at >= 0, order[at], -1)
+    where = np.full(len(a), -1, dtype=np.intp)
+    if len(b) == 0:
+        return where
+    live = np.arange(len(a))  # rows of `a` that agree with some row of `b` so far
+    at = np.zeros(len(a), dtype=np.intp)  # first row of `b` with their prefix
+    start = np.zeros(len(b), dtype=np.intp)  # the same for each row of `b`
+    for c in range(b.shape[1]):
+        col, x = b[:, c], a[live, c]
+        lo, hi = col.min(), col.max()
+        inside = (x >= lo) & (x <= hi)
+        live, at, x = live[inside], at[inside], x[inside]
+        key = start * (hi - lo + 1) + (col - lo)
+        want = at * (hi - lo + 1) + (x - lo)
+        at = np.searchsorted(key, want)
+        hit = key[np.minimum(at, len(b) - 1)] == want
+        live, at = live[hit], at[hit]
+        first = np.ones(len(b), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        start = np.maximum.accumulate(np.where(first, np.arange(len(b)), 0))
+    where[live] = at
+    return where
 
 
 def _as_cell_array(dim: int, cells) -> np.ndarray:
@@ -249,9 +268,38 @@ def write_pointset(P: GridPointSet, path) -> None:
     Path(path).write_text(fmt % tuple(P.cells.ravel().tolist()))
 
 
+# every code point str.split() separates tokens at is below U+3001
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[c for c in range(0x3001) if chr(c).isspace()]] = True
+
+
+def _parse_rows(rows: list[str], dim: int) -> np.ndarray | None:
+    """The (len(rows), dim) int64 array of non-blank lines of `dim` integer
+    tokens each, parsed in bulk; None when a line has another token count."""
+    body = "\n".join(rows)  # splitlines left no line break inside a row
+    chars = np.frombuffer(body.encode("utf-32-le"), dtype=np.uint32)
+    space = _SPACE[np.minimum(chars, len(_SPACE) - 1)]
+    start = ~space
+    start[1:] &= space[:-1]
+    stop = ~space
+    stop[:-1] &= space[1:]
+    start, stop = np.flatnonzero(start), np.flatnonzero(stop) + 1
+    # with len(rows) * dim tokens in all, row k holds tokens k*dim .. k*dim+dim-1
+    # iff each row's first token follows the newline before it and each
+    # row's last token precedes the newline after it
+    newline = np.flatnonzero(chars == 10)
+    if (
+        len(start) != len(rows) * dim
+        or (start[dim::dim] < newline).any()
+        or (stop[dim - 1 :: dim][:-1] > newline).any()
+    ):
+        return None
+    return np.array(body.split(), dtype=np.int64).reshape(len(rows), dim)
+
+
 def read_pointset(path) -> GridPointSet:
     text = Path(path).read_text()
-    rows = [ln for ln in text.splitlines() if ln.strip()]
+    rows = list(filter(str.strip, text.splitlines()))
     if not rows:
         raise ValueError(f"{path}: empty point-set file")
     head = rows[0].split()
@@ -260,14 +308,14 @@ def read_pointset(path) -> GridPointSet:
     dim, level, count = (int(x) for x in head)
     if len(rows) - 1 != count:
         raise ValueError(f"{path}: header promises {count} rows, found {len(rows) - 1}")
-    body = [ln.split() for ln in rows[1:]]
-    for ln, parts in zip(rows[1:], body):
-        if len(parts) != dim:
-            raise ValueError(f"{path}: row {ln!r} does not have {dim} coordinates")
-    cells = np.array(body, dtype=np.int64)
+    cells = np.empty(0, dtype=np.int64)
     if count:
-        uniq, inverse = _unique_rows(cells)
-        if len(uniq) < count:
+        cells = _parse_rows(rows[1:], dim)
+        if cells is None:
+            ragged = next(ln for ln in rows[1:] if len(ln.split()) != dim)
+            raise ValueError(f"{path}: row {ragged!r} does not have {dim} coordinates")
+        cells, inverse = _unique_rows(cells)
+        if len(cells) < count:
             _, first = np.unique(inverse, return_index=True)
             repeat = np.setdiff1d(np.arange(count), first)[0]
             raise ValueError(f"{path}: duplicate row {rows[1 + repeat]!r}")

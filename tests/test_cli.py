@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dyadicproj
 from dyadicproj.cli import main
 from dyadicproj.grid import read_pointset
 
@@ -166,3 +172,15 @@ class TestUsage:
             ["content", "--input", "x.txt", "--gen", CANTOR2, "--s", 1.0,
              "--out", tmp_path]
         ) == 1
+
+    def test_module_entry_point(self):
+        src = str(Path(dyadicproj.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "dyadicproj", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0
+        assert "multiscan" in done.stdout
+        assert "RuntimeWarning" not in done.stderr

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dyadicproj._exact import ExponentContext
 from dyadicproj.content import (
     CoverMinimalityError,
     DyadicCover,
@@ -111,6 +112,22 @@ class TestOptimalCover:
         cover = optimal_cover(P, 1.5)
         assert [(c.level, c.coords) for c in cover.cubes] == [(0, (0, 0, 0))]
         assert optimal_cover(P, 1.5 + 5e-10).cubes == cover.cubes
+
+    def test_each_exact_tie_decided_once(self, monkeypatch):
+        # at s = 3/2 every cube of this set ties with its 8 children two
+        # levels down: each DP level hands many copies of one row to compare
+        P = gen_cantor_product(CantorPattern(4, ((0, 2), (0, 3), (1, 2))), 3)
+        calls = []
+        compare = ExponentContext.compare
+
+        def counted(self, a, b):
+            calls.append((tuple(sorted(a.items())), tuple(sorted(b.items()))))
+            return compare(self, a, b)
+
+        monkeypatch.setattr(ExponentContext, "compare", counted)
+        cover = optimal_cover(P, 1.5)
+        assert [(c.level, c.coords) for c in cover.cubes] == [(0, (0, 0, 0))]
+        assert sorted(calls) == [(((j + 2, 8),), ((j, 1),)) for j in (0, 2, 4)]
 
     def test_j_min_restricts_levels(self, rng):
         P = random_subset(rng, 1, 4)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dyadicproj.content import build_cover_tree
 from dyadicproj.grid import (
     DyadicCube,
     GridPointSet,
+    _SPACE,
     _row_index,
     _unique_rows,
     coarsen,
@@ -18,28 +21,11 @@ from conftest import cell_tuples, cover_tree_oracle, random_subset
 
 
 class TestDyadicCube:
-    def test_parent_chain(self):
-        q = DyadicCube(3, (5, 2))
-        assert q.parent() == DyadicCube(2, (2, 1))
-        assert q.ancestor(0) == DyadicCube(0, (0, 0))
-        with pytest.raises(ValueError):
-            DyadicCube(0, (0,)).parent()
-
     def test_coordinate_range_enforced(self):
         with pytest.raises(ValueError):
             DyadicCube(2, (4,))
         with pytest.raises(ValueError):
             DyadicCube(-1, (0,))
-
-    def test_containment(self):
-        q = DyadicCube(1, (1,))
-        assert q.contains(DyadicCube(3, (5,)))
-        assert not q.contains(DyadicCube(3, (3,)))
-        assert q.contains_cell(4, (9,))
-        assert not q.contains_cell(4, (7,))
-
-    def test_center(self):
-        np.testing.assert_allclose(DyadicCube(2, (1, 3)).center(), [0.375, 0.875])
 
 
 class TestGridPointSet:
@@ -47,6 +33,13 @@ class TestGridPointSet:
         P = GridPointSet.from_cells(2, 2, [(3, 1), (0, 0), (3, 1)])
         assert len(P) == 2
         assert P.cells.tolist() == [[0, 0], [3, 1]]
+
+    def test_sorted_input_not_shared(self):
+        a = np.array([[0, 1], [2, 0], [3, 3]], dtype=np.int64)
+        P = GridPointSet(2, 2, a)
+        assert a.flags.writeable and not np.shares_memory(a, P.cells)
+        a[0] = 3
+        assert P.cells.tolist() == [[0, 1], [2, 0], [3, 3]]
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -123,29 +116,35 @@ class TestWideRows:
 
     @pytest.mark.parametrize("dim, level", CASES)
     def test_row_index(self, rng, dim, level):
-        b = GridPointSet(dim, level, _shared_prefix_rows(rng, dim, level)).cells
-        position = {row: i for i, row in enumerate(map(tuple, b.tolist()))}
+        cells = GridPointSet(dim, level, _shared_prefix_rows(rng, dim, level)).cells
         a = np.concatenate(
             [
-                b[::-1],
+                cells[::-1],
                 _shared_prefix_rows(rng, dim, level),
-                b - 1,  # negative coordinates where b has a 0
-                b + 1,  # 2^level where b has 2^level - 1
+                cells - 1,  # negative coordinates where a cell has a 0
+                cells + 1,  # 2^level where a cell has 2^level - 1
                 np.full((1, dim), -1),
                 np.full((1, dim), 1 << level),
             ]
         )
-        got = _row_index(a, b)
-        assert got.tolist() == [position.get(row, -1) for row in map(tuple, a.tolist())]
-        assert (got >= 0).any() and (got < 0).any()
-        assert _row_index(a, b[:0]).tolist() == [-1] * len(a)
-        assert _row_index(a[:0], b).shape == (0,)
+        # sorted rows are searched column by column, others sorted first
+        for b in (cells, np.repeat(cells, 2, axis=0), rng.permutation(cells)):
+            present = set(map(tuple, b.tolist()))
+            got = _row_index(a, b)
+            assert (got >= 0).tolist() == [row in present for row in map(tuple, a.tolist())]
+            assert np.array_equal(b[got[got >= 0]], a[got >= 0])
+            assert (got >= 0).any() and (got < 0).any()
+            assert _row_index(a, b[:0]).tolist() == [-1] * len(a)
+            assert _row_index(a[:0], b).shape == (0,)
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 8])
     def test_unique_rows_matches_numpy(self, rng, dim):
+        repeats = rng.integers(-3, 3, size=(200, dim))
         for rows in (
             _shared_prefix_rows(rng, dim, 20),
-            rng.integers(-3, 3, size=(200, dim)),
+            repeats,
+            np.unique(repeats, axis=0),  # strictly increasing
+            repeats[np.lexsort(repeats.T[::-1])],  # increasing with repeats
             np.empty((0, dim), dtype=np.int64),
         ):
             uniq, inverse = _unique_rows(rows)
@@ -272,4 +271,45 @@ class TestPointsetFormat:
         path = tmp_path / "bad.txt"
         path.write_text("1 2 3\n1\n2\n")
         with pytest.raises(ValueError, match="promises"):
+            read_pointset(path)
+
+    def test_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "points.txt"
+        for data in (b"\n2 2 2\n\n0 1\n \t\n3 2\n\n", b"2 2 2\r\n0 1\r\n3 2\r\n"):
+            path.write_bytes(data)
+            Q = read_pointset(path)
+            assert (Q.dim, Q.level, Q.cells.tolist()) == (2, 2, [[0, 1], [3, 2]])
+
+    def test_unsorted_rows_accepted(self, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_text("2 2 3\n3 2\n0 1\n1 1\n")
+        assert read_pointset(path).cells.tolist() == [[0, 1], [1, 1], [3, 2]]
+
+    @pytest.mark.parametrize("text, row", [("2 2 2\n0 1 2\n3\n", "0 1 2"), ("2 2 2\n0\n1 2 3\n", "0")])
+    def test_ragged_rows_with_right_token_count(self, tmp_path, text, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"row '{row}' does not have 2 coordinates"):
+            read_pointset(path)
+
+    def test_any_whitespace_and_int_syntax(self, tmp_path):
+        # what str.split() and int() accept, as the per-line reader did
+        path = tmp_path / "points.txt"
+        path.write_text("2 2 3\n0\xa01\n+3\u30002\n\x1f1 0001\n")
+        assert read_pointset(path).cells.tolist() == [[0, 1], [1, 1], [3, 2]]
+        spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert np.flatnonzero(_SPACE).tolist() == spaces
+
+    def test_long_tokens(self, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_text("1 3 2\n" + "0" * 30 + "5\n7\n")
+        assert read_pointset(path).cells.tolist() == [[5], [7]]
+        path.write_text("1 3 1\n" + "9" * 19 + "\n")
+        with pytest.raises(OverflowError):
+            read_pointset(path)
+
+    def test_non_integer_token_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 2\n0 1\n3 x\n")
+        with pytest.raises(ValueError, match="invalid literal for int"):
             read_pointset(path)
