@@ -1,6 +1,8 @@
-/* Pair kernels on raw double arrays: coincidence counts and inverse-power
- * pair sums.  Plain C, no Python headers; dyadicproj._core loads the shared
- * library with ctypes, which releases the GIL for the duration of a call.
+/* Pair kernels on raw double arrays: coincidence counts and Riesz row sums
+ * (inverse-power distances).  Plain C, no Python headers; dyadicproj._core
+ * loads the shared library with ctypes, which releases the GIL for the
+ * duration of a call.  The numpy fallback (_core_py) returns equal results:
+ * the same integers, and the same row sums bit for bit.
  *
  * The counting predicate is the one shared by every backend and by the test
  * oracle: for j > i in sorted order, with d the per-coordinate differences,
@@ -59,25 +61,72 @@ long long pair_count_nd(const double *x, long long n, long long m, double delta)
     return 2 * close + n;
 }
 
-/* Sum over ordered distinct pairs of |x - y|^-power, row-major (n, m). */
-double riesz_pair_sum(const double *pts, long long n, long long m, int power)
+/* Riesz row sums, row-major (n, m) with m <= MAX_DIM:
+ *     out[i] = sum over j = i+1 .. n-1, added in that order, of |x_i - x_j|^-power,
+ * each term the squared differences summed over the coordinates in order,
+ * then sqrt, then `power` divisions of 1.0.  The numpy fallback forms the
+ * same terms in the same order, so the row sums are bit-identical; the
+ * caller combines them with one exactly rounded sum.
+ *
+ * Rows are taken W at a time, one lane each.  A lane first adds its terms
+ * inside the block (j < i0 + W) on its own; then all lanes advance together
+ * over j >= i0 + W, each with its own accumulator, so the compiler can
+ * vectorise the sqrt and the divisions across lanes without reordering any
+ * lane's sum.  Returns -1 when m is out of range, else 0. */
+#define MAX_DIM 8
+#define W 8
+
+int riesz_row_sums(const double *pts, long long n, long long m, int power, double *out)
 {
-    long long i, j, t;
+    double xi[MAX_DIM][W], acc[W], r2[W], term[W];
+    long long i0, i, j, t, l, lanes;
     int p;
-    double acc, d, r, term, total = 0.0;
-    for (i = 0; i < n; i++) {
-        for (j = i + 1; j < n; j++) {
-            acc = 0.0;
-            for (t = 0; t < m; t++) {
-                d = pts[i * m + t] - pts[j * m + t];
-                acc = acc + d * d;
-            }
-            r = sqrt(acc);
-            term = 1.0;
-            for (p = 0; p < power; p++)
-                term = term / r;
-            total += 2.0 * term;
+    double d, r, q;
+    if (m < 1 || m > MAX_DIM)
+        return -1;
+    for (i0 = 0; i0 < n; i0 += W) {
+        lanes = n - i0 < W ? n - i0 : W;
+        for (l = 0; l < W; l++) {
+            acc[l] = 0.0;
+            for (t = 0; t < m; t++)
+                xi[t][l] = l < lanes ? pts[(i0 + l) * m + t] : 0.0;
         }
+        for (l = 0; l < lanes; l++) {
+            i = i0 + l;
+            for (j = i + 1; j < i0 + lanes; j++) {
+                r = 0.0;
+                for (t = 0; t < m; t++) {
+                    d = xi[t][l] - pts[j * m + t];
+                    r = r + d * d;
+                }
+                r = sqrt(r);
+                q = 1.0;
+                for (p = 0; p < power; p++)
+                    q = q / r;
+                acc[l] = acc[l] + q;
+            }
+        }
+        /* empty unless the block is full, so the padding lanes never count */
+        for (j = i0 + W; j < n; j++) {
+            for (l = 0; l < W; l++)
+                r2[l] = 0.0;
+            for (t = 0; t < m; t++)
+                for (l = 0; l < W; l++) {
+                    d = xi[t][l] - pts[j * m + t];
+                    r2[l] = r2[l] + d * d;
+                }
+            for (l = 0; l < W; l++) {
+                r2[l] = sqrt(r2[l]);
+                term[l] = 1.0;
+            }
+            for (p = 0; p < power; p++)
+                for (l = 0; l < W; l++)
+                    term[l] = term[l] / r2[l];
+            for (l = 0; l < W; l++)
+                acc[l] = acc[l] + term[l];
+        }
+        for (l = 0; l < lanes; l++)
+            out[i0 + l] = acc[l];
     }
-    return total;
+    return 0;
 }

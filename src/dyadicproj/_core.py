@@ -35,8 +35,8 @@ class CompiledKernels:
         lib.pair_count_sorted_1d.restype = _LL
         lib.pair_count_nd.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_double]
         lib.pair_count_nd.restype = _LL
-        lib.riesz_pair_sum.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_int]
-        lib.riesz_pair_sum.restype = ctypes.c_double
+        lib.riesz_row_sums.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_int, _DOUBLE_P]
+        lib.riesz_row_sums.restype = ctypes.c_int
         self._lib = lib
 
     def pair_count_sorted_1d(self, z: np.ndarray, delta: float) -> int:
@@ -54,11 +54,18 @@ class CompiledKernels:
         n, m = x.shape
         return self._lib.pair_count_nd(x.ctypes.data_as(_DOUBLE_P), n, m, delta)
 
-    def riesz_pair_sum(self, pts: np.ndarray, power: int) -> float:
-        """Sum over ordered distinct pairs of |x - y|^-power."""
+    def riesz_row_sums(self, pts: np.ndarray, power: int) -> np.ndarray:
+        """out[i] = sum of |x_i - x_j|^-power over j = i+1 .. n-1, added in
+        that order.  At most MAX_DIM = 8 coordinates."""
         pts = _rows(pts, 2)
         n, m = pts.shape
-        return self._lib.riesz_pair_sum(pts.ctypes.data_as(_DOUBLE_P), n, m, power)
+        out = np.empty(n)
+        status = self._lib.riesz_row_sums(
+            pts.ctypes.data_as(_DOUBLE_P), n, m, power, out.ctypes.data_as(_DOUBLE_P)
+        )
+        if status:
+            raise ValueError(f"riesz row sums take 1 to 8 coordinates, got {m}")
+        return out
 
 
 def load(path=None) -> CompiledKernels | None:

@@ -2,8 +2,8 @@
 
 Counting predicates match _ckernels.c exactly (squared differences summed
 over the coordinates in the same order, compared with <= delta*delta), so
-the two backends agree integer-for-integer; the floating riesz sum agrees
-to rounding.
+the two backends agree integer-for-integer; the Riesz row sums form the
+same terms and add them in the same order, so they are equal.
 """
 
 from __future__ import annotations
@@ -75,20 +75,35 @@ def pair_count_nd(x: np.ndarray, delta: float) -> int:
     return 2 * close + n
 
 
-def riesz_pair_sum(pts: np.ndarray, power: int) -> float:
-    """Sum over ordered distinct pairs of |x - y|^-power."""
+def riesz_row_sums(pts: np.ndarray, power: int) -> np.ndarray:
+    """out[i] = sum of |x_i - x_j|^-power over j = i+1 .. n-1, added in
+    that order.
+
+    Each term is formed as in C: squared differences summed over the
+    coordinates in order, sqrt, then `power` divisions of 1.0.  Only blocks
+    on or above the diagonal are computed; a term with j <= i gets an
+    infinite distance and so is 0.0, and adding +0.0 is exact.  Each
+    column chunk is summed along its rows by np.cumsum (sequential), with
+    the row's sum over the earlier chunks in front.
+    """
     n, m = pts.shape
-    total = 0.0
+    out = np.zeros(n)
     for a in range(0, n, _CHUNK):
         xa = pts[a : a + _CHUNK]
-        for b in range(0, n, _CHUNK):
+        for b in range(a, n, _CHUNK):
             xb = pts[b : b + _CHUNK]
-            acc = np.zeros((xa.shape[0], xb.shape[0]))
+            run = np.zeros((xa.shape[0], xb.shape[0] + 1))
+            run[:, 0] = out[a : a + _CHUNK]
+            acc = run[:, 1:]
             for t in range(m):
                 d = xa[:, t, None] - xb[None, :, t]
-                acc += d * d
-            r = np.sqrt(acc)
+                acc += np.square(d, out=d)
             if a == b:
-                np.fill_diagonal(r, np.inf)
-            total += float((r ** -float(power)).sum())
-    return total
+                acc[np.tri(xa.shape[0], dtype=bool)] = np.inf
+            r = np.sqrt(acc)
+            np.divide(1.0, r, out=acc)
+            for _ in range(power - 1):
+                acc /= r
+            np.cumsum(run, axis=1, out=run)
+            out[a : a + _CHUNK] = run[:, -1]
+    return out

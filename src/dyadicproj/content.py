@@ -152,9 +152,14 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
     _validate_exponent(P, s)
     if not 0 <= j_min <= P.level:
         raise ValueError(f"j_min={j_min} outside [0, {P.level}]")
+    return _optimal_cover(build_cover_tree(P), s, j_min)
+
+
+def _optimal_cover(tree: CoverTree, s: float, j_min: int) -> DyadicCover:
+    """optimal_cover of the set whose cover tree is `tree`, with s and j_min
+    already checked against it."""
     ctx = ExponentContext.create(s)
-    tree = build_cover_tree(P)
-    L = P.level
+    L = tree.leaf_level
 
     take: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
     rows = np.ones((tree.levels[L].shape[0], 1), dtype=np.int64)

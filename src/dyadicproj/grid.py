@@ -183,8 +183,17 @@ class GridPointSet:
         return row.shape == (self.dim,) and bool((self.cells == row).all(axis=1).any())
 
     def centers(self) -> np.ndarray:
-        """(N, dim) float64 array of cell centers in [0,1)^dim."""
-        return (2.0 * self.cells.astype(np.float64) + 1.0) / float(1 << (self.level + 1))
+        """(N, dim) float64 array of cell centers in [0,1)^dim.
+
+        Computed on the first call and kept, read-only, in the instance
+        dict (not a field, so equality and repr ignore it).
+        """
+        c = self.__dict__.get("_centers")
+        if c is None:
+            c = (2.0 * self.cells.astype(np.float64) + 1.0) / float(1 << (self.level + 1))
+            c.setflags(write=False)
+            self.__dict__["_centers"] = c
+        return c
 
     def union(self, other: "GridPointSet") -> "GridPointSet":
         if (other.dim, other.level) != (self.dim, self.level):

@@ -5,17 +5,21 @@ by _core) are used when the shared library is present; otherwise the numpy
 fallback (_core_py) takes over, with a RuntimeWarning at import.  Setting
 the environment variable DYADICPROJ_PURE_PYTHON=1 before import forces the
 fallback without a warning.  Both backends implement the same three
-functions with the same counting predicate, so they return equal integers.
+functions with the same counting predicate, so they return equal integers,
+and the same Riesz terms added in the same order, so `riesz_pair_sum` is
+equal on both.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 
 import numpy as np
 
 from . import _core, _core_py
+from .grid import MAX_DIM
 
 _compiled = _core.load()
 
@@ -70,11 +74,17 @@ def coincidence_count(coords: np.ndarray, delta: float, backend=None) -> int:
 
 
 def riesz_pair_sum(points: np.ndarray, power: int, backend=None) -> float:
-    """Sum of |x - y|^-power over ordered pairs of distinct rows."""
+    """Sum of |x - y|^-power over ordered pairs of distinct rows.
+
+    Twice the exactly rounded sum (math.fsum) of the backend's in-order row
+    sums over j > i, so every backend returns the same float.
+    """
     impl = backend or _active
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("need a 2-D array with at least two rows")
+    if not 1 <= points.shape[1] <= MAX_DIM:
+        raise ValueError(f"points must have 1 to {MAX_DIM} coordinates")
     if power < 1:
         raise ValueError("power must be a positive integer")
-    return float(impl.riesz_pair_sum(points, int(power)))
+    return 2.0 * math.fsum(impl.riesz_row_sums(points, int(power)))

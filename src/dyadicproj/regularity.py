@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import _iroot, snap_exponent
-from .content import build_cover_tree, optimal_cover
+# optimal_cover is not called here; it stays a name of this module for callers
+from .content import _optimal_cover, build_cover_tree, optimal_cover  # noqa: F401
 from .grid import DyadicCube, GridPointSet, _row_index, write_pointset
 
 __all__ = [
@@ -234,7 +235,7 @@ def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> Gri
         quota = child_quota
 
     S = GridPointSet(P.dim, P.level, tree.levels[L][quota > 0])
-    content = optimal_cover(P, s).value
+    content = _optimal_cover(tree, s, 0).value
     need = min_fraction * content * 2.0 ** (L * s)
     if len(S) < need - 1e-9:
         raise ExtractionFailedError(

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: covers are found by
 exhaustive enumeration of antichains, energies by direct pair loops, and
 window constants by scanning every dyadic cube.  Expected values asserted in
-the tests were computed with these oracles.
+the tests were computed with these oracles.  The `impls` fixture gives
+both pair-kernel backends, for tests that compare them.
 """
 
 from __future__ import annotations
@@ -11,13 +12,38 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import shutil
+import subprocess
+import sys
+import sysconfig
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dyadicproj import _core, _core_py
 from dyadicproj._exact import ExponentContext
 from dyadicproj.grid import GridPointSet
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def impls(tmp_path_factory):
+    """Both backends, the compiled one built from _ckernels.c by setup.py
+    (same compiler and flags as an install) into a temporary directory."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
+    out = tmp_path_factory.mktemp("ckernels")
+    subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=ROOT, check=True, capture_output=True, timeout=300,
+    )
+    (lib,) = (out / "lib" / "dyadicproj").glob("_ckernels*")
+    return {"python": _core_py, "compiled": _core.load(lib)}
 
 
 def all_dyadic_covers(P: GridPointSet, j_min: int = 0):

@@ -51,6 +51,14 @@ class TestGridPointSet:
         P = GridPointSet.from_cells(1, 2, [(0,), (3,)])
         np.testing.assert_allclose(P.centers().ravel(), [0.125, 0.875])
 
+    def test_centers_computed_once_read_only(self):
+        P = GridPointSet.from_cells(2, 3, [(0, 1), (5, 2)])
+        c = P.centers()
+        assert P.centers() is c
+        with pytest.raises(ValueError):
+            c[0, 0] = 0.5
+        assert c.tolist() == [[1 / 16, 3 / 16], [11 / 16, 5 / 16]]
+
     def test_set_ops(self):
         a = GridPointSet.from_cells(1, 3, [(0,), (1,)])
         b = GridPointSet.from_cells(1, 3, [(1,), (5,)])

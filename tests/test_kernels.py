@@ -1,7 +1,7 @@
+import math
 import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -18,25 +18,6 @@ from dyadicproj.kernels import (
 from dyadicproj.projection import Plane, project_points
 
 from conftest import pair_energy_oracle
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture(scope="session")
-def impls(tmp_path_factory):
-    """Both backends, the compiled one built from _ckernels.c by setup.py
-    (same compiler and flags as an install) into a temporary directory."""
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
-    out = tmp_path_factory.mktemp("ckernels")
-    subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
-        cwd=ROOT, check=True, capture_output=True, timeout=300,
-    )
-    (lib,) = (out / "lib" / "dyadicproj").glob("_ckernels*")
-    return {"python": _core_py, "compiled": _core.load(lib)}
 
 
 @pytest.mark.parametrize("pure,warns", [("", True), ("1", False)])
@@ -87,12 +68,69 @@ def test_backends_agree_on_knife_edge_duplicates(impls):
     assert len(set(got.values())) == 1
 
 
-def test_backends_agree_on_riesz_to_rounding(impls):
-    rng = np.random.default_rng(7)
-    pts = rng.random((500, 2))
-    for power in (1, 2, 3):
-        vals = [float(v.riesz_pair_sum(np.ascontiguousarray(pts), power)) for v in impls.values()]
-        assert vals[0] == pytest.approx(vals[1], rel=1e-9)
+def _lattice_centers(rng, dim: int, n: int) -> np.ndarray:
+    """Centres of n distinct cells of the coarsest grid with room for 2n, so
+    that distances repeat heavily."""
+    level = max(1, math.ceil(math.log2(2 * n) / dim))
+    flat = rng.choice(1 << (level * dim), size=n, replace=False)
+    cells = np.stack(np.unravel_index(flat, (1 << level,) * dim), axis=1)
+    return GridPointSet(dim, level, cells).centers()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_backends_agree_on_riesz_exactly(impls, dim):
+    # sizes around the C lane width (8) and the numpy chunk (2048)
+    rng = np.random.default_rng(70 + dim)
+    for n in (2, 7, 8, 9, 2047, 2048, 2049):
+        pts = _lattice_centers(rng, dim, n)
+        for power in range(1, dim + 1):
+            rows = [impl.riesz_row_sums(pts, power) for impl in impls.values()]
+            assert np.array_equal(rows[0], rows[1])
+            assert rows[0][-1] == 0.0
+            if n < 100:
+                got = {riesz_pair_sum(pts, power, backend=impl) for impl in impls.values()}
+                assert got == {2.0 * math.fsum(rows[0])}
+
+
+def riesz_oracle(pts: np.ndarray, power: int) -> float:
+    """Each row i summed in order over j > i, term by term in plain Python
+    floats, then twice the exactly rounded sum of the rows."""
+    rows = []
+    pts = pts.tolist()
+    for i, x in enumerate(pts):
+        row = 0.0
+        for y in pts[i + 1 :]:
+            acc = 0.0
+            for a, b in zip(x, y):
+                d = a - b
+                acc += d * d
+            r = math.sqrt(acc)
+            term = 1.0
+            for _ in range(power):
+                term /= r
+            row += term
+        rows.append(row)
+    return 2.0 * math.fsum(rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_riesz_matches_in_order_oracle(impls, dim):
+    rng = np.random.default_rng(90 + dim)
+    for n in (2, 9, 40):
+        for pts in (rng.random((n, dim)), _lattice_centers(rng, dim, n)):
+            for power in sorted({1, 2, dim}):
+                want = riesz_oracle(pts, power)
+                for impl in impls.values():
+                    assert riesz_pair_sum(pts, power, backend=impl) == want
+
+
+def test_riesz_dimension_limit(impls):
+    pts = np.random.default_rng(3).random((5, 9))
+    for impl in impls.values():
+        with pytest.raises(ValueError, match="coordinates"):
+            riesz_pair_sum(pts, 1, backend=impl)
+    with pytest.raises(ValueError, match="coordinates"):
+        impls["compiled"].riesz_row_sums(pts, 1)
 
 
 def test_dispatcher_counts_match_brute_force():

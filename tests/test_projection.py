@@ -9,6 +9,7 @@ from dyadicproj.fractals import (
     gen_degenerate,
     gen_random_tree_set,
 )
+from dyadicproj import kernels
 from dyadicproj.grid import GridPointSet
 from dyadicproj.projection import (
     Plane,
@@ -371,6 +372,18 @@ class TestDirectionScan:
                 write_scan_report(rep, tmp_path / f"m{m}-w{workers}.txt")
                 texts.append((tmp_path / f"m{m}-w{workers}.txt").read_text())
             assert texts[0] == texts[1]
+
+    def test_report_identical_across_backends(self, impls, monkeypatch, tmp_path):
+        # energy_bound included: both backends sum the Riesz terms in one order
+        cases = ((1, gen_random_tree_set(2, 1.2, 7, seed=3)), (2, gen_random_tree_set(3, 2.0, 4, seed=2)))
+        for m, P in cases:
+            texts = set()
+            for name, impl in impls.items():
+                monkeypatch.setattr(kernels, "_active", impl)
+                rep = direction_scan(P, s=1.0, eps=0.1, num_samples=16, master_seed=5, m=m)
+                write_scan_report(rep, tmp_path / f"m{m}-{name}.txt")
+                texts.add((tmp_path / f"m{m}-{name}.txt").read_text())
+            assert len(texts) == 1
 
     def test_kappa_validation(self):
         P = gen_cantor_product(CANTOR2, 2)

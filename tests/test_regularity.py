@@ -8,8 +8,9 @@ from dyadicproj.fractals import (
     gen_degenerate,
     gen_random_tree_set,
 )
+from dyadicproj import content, regularity
 from dyadicproj.grid import GridPointSet
-from dyadicproj.content import optimal_cover
+from dyadicproj.content import build_cover_tree, optimal_cover
 from dyadicproj.regularity import (
     _greedy_net,
     frostman_subset,
@@ -207,6 +208,19 @@ class TestFrostmanSubset:
                 assert len(S) >= 0.5 * content * 2.0 ** (7 * s) - 1e-9
                 assert minimal_spread_constant(S, s) <= 4**2
                 assert S.issubset(P)
+
+    def test_builds_one_cover_tree(self, monkeypatch):
+        calls = []
+
+        def counted(P):
+            calls.append(len(P))
+            return build_cover_tree(P)
+
+        monkeypatch.setattr(content, "build_cover_tree", counted)
+        monkeypatch.setattr(regularity, "build_cover_tree", counted)
+        P = gen_random_tree_set(2, 1.3, 7, seed=1)
+        frostman_subset(P, 1.3)
+        assert calls == [len(P)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
