@@ -58,6 +58,5 @@ from .regularity import (
     minimal_spread_constant,
     write_decomposition,
 )
-from .cli import ExperimentConfig, run_multiscale_scan
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
-/* Pair kernels on raw double arrays: coincidence counts and Riesz row sums
- * (inverse-power distances).  Plain C, no Python headers; dyadicproj._core
- * loads the shared library with ctypes, which releases the GIL for the
- * duration of a call.  The numpy fallback (_core_py) returns equal results:
- * the same integers, and the same row sums bit for bit.
+/* Two pair kernels on raw double arrays: coincidence counts, one slab sweep
+ * for every dimension m, and Riesz row sums (inverse-power distances).
+ * Plain C, no Python headers; dyadicproj._core loads the shared library
+ * with ctypes, which releases the GIL for the duration of a call.  The numpy
+ * fallback (_core_py) returns equal results: the same integers, and the same
+ * row sums bit for bit.
  *
  * The counting predicate is the one shared by every backend and by the test
  * oracle: for j > i in sorted order, with d the per-coordinate differences,
@@ -14,41 +15,33 @@
 
 #include <math.h>
 
-/* Rows of z (length n) sorted ascending.  Since z is sorted, z[j] - z[i] and
- * its square are non-decreasing in j and non-increasing in i, so the first
- * index past the close run only moves right: a two-pointer sweep. */
-long long pair_count_sorted_1d(const double *z, long long n, double delta)
+/* Row-major (n, m) rows sorted by the first coordinate.  For each row i the
+ * slab is the run j = i+1 .. hi-1 with d0*d0 <= delta*delta, d0 the
+ * first-coordinate difference.  Rounding is monotone, so d0 never falls as
+ * j grows nor rises as i grows, and hi only moves right: a two-pointer
+ * sweep.  The full predicate is tested on the slab alone, which is safe
+ * because adding non-negative squares never lowers the rounded sum.  For
+ * m = 1 the predicate is the slab test, so the count is the sum of slab
+ * widths. */
+long long pair_count(const double *x, long long n, long long m, double delta)
 {
     double d2max = delta * delta;
-    long long i, hi = 0, close = 0;
-    double d;
+    long long i, j, t, hi = 0, close = 0;
+    double acc, d;
     for (i = 0; i < n; i++) {
         if (hi < i + 1)
             hi = i + 1;
         while (hi < n) {
-            d = z[hi] - z[i];
+            d = x[hi * m] - x[i * m];
             if (d * d > d2max)
                 break;
             hi++;
         }
-        close += hi - i - 1;
-    }
-    return 2 * close + n;
-}
-
-/* Row-major (n, m) rows sorted by the first coordinate; the sweep stops once
- * the first coordinate alone is farther than delta, which is safe because
- * adding non-negative squares never lowers the rounded sum. */
-long long pair_count_nd(const double *x, long long n, long long m, double delta)
-{
-    double d2max = delta * delta;
-    long long i, j, t, close = 0;
-    double acc, d, d0;
-    for (i = 0; i < n; i++) {
-        for (j = i + 1; j < n; j++) {
-            d0 = x[j * m] - x[i * m];
-            if (d0 * d0 > d2max)
-                break;
+        if (m == 1) {
+            close += hi - i - 1;
+            continue;
+        }
+        for (j = i + 1; j < hi; j++) {
             acc = 0.0;
             for (t = 0; t < m; t++) {
                 d = x[i * m + t] - x[j * m + t];

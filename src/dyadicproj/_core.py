@@ -1,10 +1,10 @@
 """ctypes loader for the compiled pair kernels in _ckernels.c.
 
 `setup.py build_ext --inplace` (or an install) builds the C file into a
-shared library next to this module.  `load` opens it and wraps its three
-functions under the names and signatures of the numpy fallback in
-_core_py.  ctypes releases the GIL during each foreign call, so threads can
-run the kernels side by side.
+shared library next to this module.  `load` opens it and wraps its two
+functions, `pair_count` and `riesz_row_sums`, under the names and
+signatures of the numpy fallback in _core_py.  ctypes releases the GIL
+during each foreign call, so threads can run the kernels side by side.
 """
 
 from __future__ import annotations
@@ -19,45 +19,35 @@ _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _LL = ctypes.c_longlong
 
 
-def _rows(a: np.ndarray, ndim: int) -> np.ndarray:
+def _rows(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != ndim or (ndim == 2 and a.shape[1] == 0):
-        raise ValueError(f"expected a {ndim}-D array of points, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ValueError(f"expected a 2-D array of points, got shape {a.shape}")
     return a
 
 
 class CompiledKernels:
-    """The three pair kernels of one loaded shared library."""
+    """The two pair kernels of one loaded shared library."""
 
     def __init__(self, path):
         lib = ctypes.CDLL(str(path))
-        lib.pair_count_sorted_1d.argtypes = [_DOUBLE_P, _LL, ctypes.c_double]
-        lib.pair_count_sorted_1d.restype = _LL
-        lib.pair_count_nd.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_double]
-        lib.pair_count_nd.restype = _LL
+        lib.pair_count.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_double]
+        lib.pair_count.restype = _LL
         lib.riesz_row_sums.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_int, _DOUBLE_P]
         lib.riesz_row_sums.restype = ctypes.c_int
         self._lib = lib
 
-    def pair_count_sorted_1d(self, z: np.ndarray, delta: float) -> int:
-        """Ordered pairs (i, j), diagonal included, with (z[j]-z[i])^2 <= delta^2.
-
-        z must be sorted ascending.
-        """
-        z = _rows(z, 1)
-        return self._lib.pair_count_sorted_1d(z.ctypes.data_as(_DOUBLE_P), z.shape[0], delta)
-
-    def pair_count_nd(self, x: np.ndarray, delta: float) -> int:
+    def pair_count(self, x: np.ndarray, delta: float) -> int:
         """Ordered pairs (diagonal included) whose summed squared differences
         are <= delta^2.  Rows must be sorted by the first coordinate."""
-        x = _rows(x, 2)
+        x = _rows(x)
         n, m = x.shape
-        return self._lib.pair_count_nd(x.ctypes.data_as(_DOUBLE_P), n, m, delta)
+        return self._lib.pair_count(x.ctypes.data_as(_DOUBLE_P), n, m, delta)
 
     def riesz_row_sums(self, pts: np.ndarray, power: int) -> np.ndarray:
         """out[i] = sum of |x_i - x_j|^-power over j = i+1 .. n-1, added in
         that order.  At most MAX_DIM = 8 coordinates."""
-        pts = _rows(pts, 2)
+        pts = _rows(pts)
         n, m = pts.shape
         out = np.empty(n)
         status = self._lib.riesz_row_sums(

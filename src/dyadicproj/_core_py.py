@@ -1,32 +1,32 @@
 """Pure-numpy fallback for the compiled pair kernels.
 
-Counting predicates match _ckernels.c exactly (squared differences summed
-over the coordinates in the same order, compared with <= delta*delta), so
-the two backends agree integer-for-integer; the Riesz row sums form the
-same terms and add them in the same order, so they are equal.
+The counting predicate matches _ckernels.c exactly (squared differences
+summed over the coordinates in the same order, compared with
+<= delta*delta) and both count by the same slab sweep, so the two backends
+agree integer-for-integer; the Riesz row sums form the same terms and add
+them in the same order, so they are equal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_CHUNK = 2048
+_CHUNK = 2048  # rows per block of the Riesz row sums
+_PAIR_CHUNK = 1 << 20  # candidate pairs per block of pair_count
 
 
-def pair_count_sorted_1d(z: np.ndarray, delta: float) -> int:
-    """Ordered pairs (i, j), diagonal included, with (z[j]-z[i])^2 <= delta^2.
+def _slab_ends(z: np.ndarray, delta: float) -> np.ndarray:
+    """end[i]: the first j > i with (z[j]-z[i])^2 > delta^2, for z sorted
+    ascending, so the slab of row i is j = i+1 .. end[i]-1.
 
-    z must be sorted ascending, so the predicate holds on a run j = i+1 ..
-    end[i]-1.  searchsorted on z + delta -/+ slack guesses that end within
-    [lo, hi); the guess is kept only where the predicate confirms it at
-    lo - 1 and hi, and a bisection on the predicate finishes every row whose
-    bracket is not yet a single point.  The slack (far above the rounding of
+    searchsorted on z + delta -/+ slack guesses that end within [lo, hi);
+    the guess is kept only where the predicate confirms it at lo - 1 and
+    hi, and a bisection on the predicate finishes every row whose bracket
+    is not yet a single point.  The slack (far above the rounding of
     z + delta) only keeps the brackets narrow; correctness rests on the
     confirmation and on monotonicity in j.
     """
     n = z.shape[0]
-    if n == 0:
-        return 0
     d2max = delta * delta
     rows = np.arange(n)
     first = rows + 1
@@ -45,33 +45,45 @@ def pair_count_sorted_1d(z: np.ndarray, delta: float) -> int:
     while True:
         act = np.flatnonzero(lo < hi)
         if act.size == 0:
-            break
+            return lo
         mid = (lo[act] + hi[act]) >> 1
         ok = close(act, mid)
         lo[act[ok]] = mid[ok] + 1
         hi[act[~ok]] = mid[~ok]
-    return int(2 * (lo - first).sum() + n)
 
 
-def pair_count_nd(x: np.ndarray, delta: float) -> int:
-    """Ordered pairs (diagonal included) whose squared differences, summed
-    over the coordinates, are <= delta^2: 2 * (close pairs j > i) + n."""
+def pair_count(x: np.ndarray, delta: float) -> int:
+    """2 * (close pairs j > i) + n for rows sorted by the first coordinate.
+
+    Only a row's slab (_slab_ends of the first coordinate) can hold close
+    pairs: adding non-negative squares never lowers the rounded sum.  For
+    m = 1 the predicate is the slab test, so the count is the sum of slab
+    widths; otherwise the slab pairs are tested in full, about _PAIR_CHUNK
+    at a time.
+    """
     n, m = x.shape
     if n == 0:
         return 0
+    cols = [np.ascontiguousarray(x[:, t]) for t in range(m)]
+    width = _slab_ends(cols[0], delta) - np.arange(1, n + 1)
+    if m == 1:
+        return int(2 * width.sum() + n)
     d2max = delta * delta
+    start = np.concatenate(([0], np.cumsum(width)))  # candidates before row i
     close = 0
-    for a in range(0, n, _CHUNK):
-        xa = x[a : a + _CHUNK]
-        for b in range(a, n, _CHUNK):
-            xb = x[b : b + _CHUNK]
-            acc = np.zeros((xa.shape[0], xb.shape[0]))
-            for t in range(m):
-                d = xa[:, t, None] - xb[None, :, t]
-                acc += d * d
-            hits = int((acc <= d2max).sum())
-            # a diagonal block is symmetric and holds the n_a self-pairs
-            close += (hits - xa.shape[0]) // 2 if a == b else hits
+    a = 0
+    while a < n:
+        b = max(int(np.searchsorted(start, start[a] + _PAIR_CHUNK, side="right")) - 1, a + 1)
+        w = width[a:b]
+        # rows a..b-1, each paired with j = i+1 .. i+w[i-a]
+        j = np.arange(start[a], start[b]) - np.repeat(start[a:b] - np.arange(a + 1, b + 1), w)
+        acc = np.zeros(j.size)
+        for c in cols:
+            d = np.repeat(c[a:b], w) - c[j]
+            d *= d
+            acc += d
+        close += int(np.count_nonzero(acc <= d2max))
+        a = b
     return 2 * close + n
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from .regularity import (
     write_decomposition,
 )
 
-__all__ = ["ExperimentConfig", "run_multiscale_scan", "main"]
+__all__ = ["main"]
 
 
 class _UsageError(ValueError):
@@ -37,27 +36,6 @@ class _Parser(argparse.ArgumentParser):
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parameter bundle for the multi-scale scan."""
-
-    input_path: str | None
-    gen_spec: str | None
-    level_min: int
-    level_max: int
-    s: float
-    eps: float
-    big_l: float | None
-    tau: float | None
-    m: int
-    samples: int
-    seed: int
-    budget_slack: float
-    workers: int
-    out_dir: str
-    force: bool
 
 
 def _load_points(input_path, gen_spec, seed) -> GridPointSet:
@@ -91,89 +69,6 @@ def _heavy_params(dim: int, big_l: float | None, tau: float | None) -> tuple[flo
     under the normalization C = |P| * delta^s."""
     tau = tau if tau is not None else 4.0**-dim
     return (big_l if big_l is not None else max(1.0, 2.0 / tau)), tau
-
-
-def run_multiscale_scan(config: ExperimentConfig) -> int:
-    """Scan every level in the configured range and gate on the eps-budget.
-
-    Per scale j: coarsen the input to level j, prune heavy cubes (cell-count
-    normalization C = |P_j| * 2^(-j*s)), then Monte-Carlo the direction
-    classification on the surviving regular part.  A scale violates when
-    bad_fraction > budget * budget_slack; any violation exits 2.
-    """
-    P = _load_points(config.input_path, config.gen_spec, config.seed)
-    if not 0 <= config.level_min <= config.level_max <= P.level:
-        raise _UsageError(
-            f"level range [{config.level_min}, {config.level_max}] invalid "
-            f"for input at level {P.level}"
-        )
-    out = Path(config.out_dir)
-    big_l, tau = _heavy_params(P.dim, config.big_l, config.tau)
-
-    rows = []
-    worst = (None, -1.0)
-    violation = False
-    for j in range(config.level_min, config.level_max + 1):
-        for name in ("points", "cover", "good", "bad", "heavy", "scan"):
-            _out_file(out, f"scale{j}_{name}.txt", config.force)
-        _out_file(out, f"scale{j}_scan.csv", config.force)
-        Pj = coarsen(P, j)
-        delta = 2.0**-j
-        C = len(Pj) * delta**config.s
-        dec = heavy_decompose(Pj, config.s, C, big_l, tau)
-        write_decomposition(dec, out, prefix=f"scale{j}_")
-        write_pointset(Pj, out / f"scale{j}_points.txt")
-        cover = optimal_cover(Pj, config.s)
-        write_cover(cover, out / f"scale{j}_cover.txt")
-        scale_seed = int(
-            np.random.SeedSequence(config.seed, spawn_key=(j,)).generate_state(
-                1, np.uint64
-            )[0]
-        )
-        if len(dec.net):
-            report = direction_scan(
-                dec.net,
-                delta=delta,
-                s=config.s,
-                eps=config.eps,
-                num_samples=config.samples,
-                master_seed=scale_seed,
-                m=config.m,
-                workers=config.workers,
-            )
-            write_scan_report(report, out / f"scale{j}_scan.txt")
-            write_scan_csv(report, out / f"scale{j}_scan.csv")
-            bad_fraction = report.bad_fraction
-            budget = report.budget
-            mean_energy = report.mean_energy
-            energy_bound = report.energy_bound
-        else:
-            bad_fraction, budget = 0.0, delta**config.eps
-            mean_energy = energy_bound = 0.0
-        bad_over_budget = bad_fraction > budget * config.budget_slack
-        violation |= bad_over_budget
-        ratio = bad_fraction / budget if budget else 0.0
-        if ratio > worst[1]:
-            worst = (j, ratio)
-        rows.append(
-            f"{j},{len(Pj)},{cover.value:.17g},"
-            f"{minimal_spread_constant(Pj, config.s):.17g},"
-            f"{len(dec.good)},{len(dec.bad)},{bad_fraction:.17g},{budget:.17g},"
-            f"{mean_energy:.17g},{energy_bound:.17g},{int(bad_over_budget)}"
-        )
-
-    header = (
-        "scale,cells,content,spread_constant,good,bad,"
-        "bad_fraction,budget,mean_energy,energy_bound,violation"
-    )
-    _out_file(out, "summary.csv", config.force).write_text(
-        header + "\n" + "\n".join(rows) + "\n"
-    )
-    print(f"worst scale {worst[0]} bad_fraction/budget {worst[1]:.6g}")
-    if violation:
-        print("budget violation detected", file=sys.stderr)
-        return 2
-    return 0
 
 
 def _add_common(p: _Parser, *, gen: bool = True):
@@ -308,25 +203,88 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_multiscan(args) -> int:
+    """Scan every level from --level-min to --level-max and gate on the
+    eps-budget.
+
+    Per scale j: coarsen the input to level j, prune heavy cubes (cell-count
+    normalization C = |P_j| * 2^(-j*s)), then Monte-Carlo the direction
+    classification on the surviving regular part.  A scale violates when
+    bad_fraction > budget * --slack; any violation exits 2.
+    """
     seed = _require_seed(args)
-    config = ExperimentConfig(
-        input_path=args.input,
-        gen_spec=args.gen,
-        level_min=args.level_min,
-        level_max=args.level_max,
-        s=args.s,
-        eps=args.eps,
-        big_l=args.big_l,
-        tau=args.tau,
-        m=args.m,
-        samples=args.samples,
-        seed=seed,
-        budget_slack=args.slack,
-        workers=args.workers,
-        out_dir=args.out,
-        force=args.force,
+    P = _load_points(args.input, args.gen, seed)
+    if not 0 <= args.level_min <= args.level_max <= P.level:
+        raise _UsageError(
+            f"level range [{args.level_min}, {args.level_max}] invalid "
+            f"for input at level {P.level}"
+        )
+    out = Path(args.out)
+    big_l, tau = _heavy_params(P.dim, args.big_l, args.tau)
+
+    rows = []
+    worst = (None, -1.0)
+    violation = False
+    for j in range(args.level_min, args.level_max + 1):
+        for name in ("points", "cover", "good", "bad", "heavy", "scan"):
+            _out_file(out, f"scale{j}_{name}.txt", args.force)
+        _out_file(out, f"scale{j}_scan.csv", args.force)
+        Pj = coarsen(P, j)
+        delta = 2.0**-j
+        C = len(Pj) * delta**args.s
+        dec = heavy_decompose(Pj, args.s, C, big_l, tau)
+        write_decomposition(dec, out, prefix=f"scale{j}_")
+        write_pointset(Pj, out / f"scale{j}_points.txt")
+        cover = optimal_cover(Pj, args.s)
+        write_cover(cover, out / f"scale{j}_cover.txt")
+        scale_seed = int(
+            np.random.SeedSequence(seed, spawn_key=(j,)).generate_state(
+                1, np.uint64
+            )[0]
+        )
+        if len(dec.net):
+            report = direction_scan(
+                dec.net,
+                delta=delta,
+                s=args.s,
+                eps=args.eps,
+                num_samples=args.samples,
+                master_seed=scale_seed,
+                m=args.m,
+                workers=args.workers,
+            )
+            write_scan_report(report, out / f"scale{j}_scan.txt")
+            write_scan_csv(report, out / f"scale{j}_scan.csv")
+            bad_fraction = report.bad_fraction
+            budget = report.budget
+            mean_energy = report.mean_energy
+            energy_bound = report.energy_bound
+        else:
+            bad_fraction, budget = 0.0, delta**args.eps
+            mean_energy = energy_bound = 0.0
+        bad_over_budget = bad_fraction > budget * args.slack
+        violation |= bad_over_budget
+        ratio = bad_fraction / budget if budget else 0.0
+        if ratio > worst[1]:
+            worst = (j, ratio)
+        rows.append(
+            f"{j},{len(Pj)},{cover.value:.17g},"
+            f"{minimal_spread_constant(Pj, args.s):.17g},"
+            f"{len(dec.good)},{len(dec.bad)},{bad_fraction:.17g},{budget:.17g},"
+            f"{mean_energy:.17g},{energy_bound:.17g},{int(bad_over_budget)}"
+        )
+
+    header = (
+        "scale,cells,content,spread_constant,good,bad,"
+        "bad_fraction,budget,mean_energy,energy_bound,violation"
     )
-    return run_multiscale_scan(config)
+    _out_file(out, "summary.csv", args.force).write_text(
+        header + "\n" + "\n".join(rows) + "\n"
+    )
+    print(f"worst scale {worst[0]} bad_fraction/budget {worst[1]:.6g}")
+    if violation:
+        print("budget violation detected", file=sys.stderr)
+        return 2
+    return 0
 
 
 _COMMANDS = {

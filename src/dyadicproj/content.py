@@ -170,6 +170,7 @@ def _optimal_cover(tree: CoverTree, s: float, j_min: int) -> DyadicCover:
         rows[take[j]] = 0
         rows[take[j], 0] = 1
 
+    # levels[j] rows are in lex order, so the cubes come out sorted by (level, coords)
     cubes: list[DyadicCube] = []
     active = np.ones(tree.levels[0].shape[0], dtype=bool)
     for j in range(0, L + 1):
@@ -179,7 +180,6 @@ def _optimal_cover(tree: CoverTree, s: float, j_min: int) -> DyadicCover:
         if j < L:
             pass_down = active & ~take[j]
             active = pass_down[tree.parents[j + 1]]
-    cubes.sort(key=lambda c: (c.level, c.coords))
     mult = {j: n for j, n in enumerate(rows[0].tolist()) if n}
     if Counter(c.level for c in cubes) != mult:
         raise AssertionError("reconstructed cover does not match DP value")

@@ -4,10 +4,10 @@ The compiled kernels (_ckernels.c, built by setup.py and loaded with ctypes
 by _core) are used when the shared library is present; otherwise the numpy
 fallback (_core_py) takes over, with a RuntimeWarning at import.  Setting
 the environment variable DYADICPROJ_PURE_PYTHON=1 before import forces the
-fallback without a warning.  Both backends implement the same three
-functions with the same counting predicate, so they return equal integers,
-and the same Riesz terms added in the same order, so `riesz_pair_sum` is
-equal on both.
+fallback without a warning.  Both backends implement the same two
+functions: `pair_count`, one slab sweep with the same counting predicate
+for every m, so they return equal integers, and `riesz_row_sums`, the same
+Riesz terms added in the same order, so `riesz_pair_sum` is equal on both.
 """
 
 from __future__ import annotations
@@ -60,17 +60,19 @@ def coincidence_count(coords: np.ndarray, delta: float, backend=None) -> int:
 
     A pair is close when its squared differences, summed over the
     coordinates, are <= delta*delta; each unordered pair is tested once, so
-    the count is 2 * (close pairs) + len(coords).
+    the count is 2 * (close pairs) + len(coords).  The sort need not be
+    stable: the predicate is symmetric bit for bit and its sum is never below
+    the first coordinate's square, so tied rows may come in any order.
     """
     impl = backend or _active
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     if coords.ndim != 2:
         raise ValueError("coords must be a 2-D array")
     if coords.shape[1] == 1:
-        z = np.sort(coords[:, 0])
-        return int(impl.pair_count_sorted_1d(z, float(delta)))
-    order = np.argsort(coords[:, 0], kind="stable")
-    return int(impl.pair_count_nd(np.ascontiguousarray(coords[order]), float(delta)))
+        x = np.sort(coords[:, 0])[:, None]
+    else:
+        x = coords[np.argsort(coords[:, 0])]
+    return int(impl.pair_count(x, float(delta)))
 
 
 def riesz_pair_sum(points: np.ndarray, power: int, backend=None) -> float:

@@ -86,6 +86,8 @@ class TestOptimalCover:
                 got = optimal_cover(P, s)
                 want, _ = min_cover_value_oracle(P, s)
                 assert got.value == want
+                keys = [(c.level, c.coords) for c in got.cubes]
+                assert keys == sorted(keys)
 
     def test_oracle_equivalence_n2(self, rng):
         inputs = [random_subset(rng, 2, 2) for _ in range(15)]
@@ -94,6 +96,8 @@ class TestOptimalCover:
             got = optimal_cover(P, 1.0)
             want, _ = min_cover_value_oracle(P, 1.0)
             assert got.value == want
+            keys = [(c.level, c.coords) for c in got.cubes]
+            assert keys == sorted(keys)
 
     def test_oracle_equivalence_unsnappable_exponent(self, rng):
         # an exponent with no small-denominator rational nearby exercises

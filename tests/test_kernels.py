@@ -37,37 +37,6 @@ def test_backend_reports_a_name():
     assert "python" in available_backends()
 
 
-def test_backends_agree_on_1d_counts(impls):
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        z = np.sort(rng.random(int(rng.integers(1, 400))))
-        delta = float(rng.uniform(0.001, 0.2))
-        got = {k: int(v.pair_count_sorted_1d(z, delta)) for k, v in impls.items()}
-        assert len(set(got.values())) == 1
-
-
-def test_backends_agree_on_nd_counts(impls):
-    rng = np.random.default_rng(6)
-    for dim in (2, 3):
-        for _ in range(10):
-            pts = rng.random((int(rng.integers(2, 300)), dim))
-            pts = pts[np.argsort(pts[:, 0], kind="stable")]
-            pts = np.ascontiguousarray(pts)
-            delta = float(rng.uniform(0.01, 0.4))
-            got = {k: int(v.pair_count_nd(pts, delta)) for k, v in impls.items()}
-            assert len(set(got.values())) == 1
-
-
-def test_backends_agree_on_knife_edge_duplicates(impls):
-    # exact duplicates and points exactly delta apart
-    z = np.array([0.25, 0.25, 0.25, 0.5, 0.75])
-    got = {k: int(v.pair_count_sorted_1d(z, 0.25)) for k, v in impls.items()}
-    assert len(set(got.values())) == 1
-    pts = np.ascontiguousarray(np.array([[0.0, 0.0], [0.25, 0.0], [0.25, 0.0]]))
-    got = {k: int(v.pair_count_nd(pts, 0.25)) for k, v in impls.items()}
-    assert len(set(got.values())) == 1
-
-
 def _lattice_centers(rng, dim: int, n: int) -> np.ndarray:
     """Centres of n distinct cells of the coarsest grid with room for 2n, so
     that distances repeat heavily."""
@@ -175,6 +144,65 @@ TIE_FRAMES = {
     ],
 }
 TIE_SCALES = (0.5, 1.0, np.sqrt(2.0), 1.2, 2.0, 2.5)
+
+
+def _by_first(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x[np.argsort(x[:, 0], kind="stable")])
+
+
+def _cell_side(centers: np.ndarray) -> float:
+    return float(np.diff(np.unique(centers[:, 0])).min())
+
+
+def _count_cases(m: int):
+    """(rows sorted by the first coordinate, delta): random sets, one of them
+    with slabs wider than _core_py._PAIR_CHUNK pairs in all, a knife edge,
+    and lattice centres of 2,000-4,000 cells on the tie frames (for
+    m = 3, the centres themselves)."""
+    rng = np.random.default_rng(5 + m)
+    for _ in range(10):
+        pts = rng.random((int(rng.integers(1, 400)), m))
+        yield _by_first(pts), float(rng.uniform(0.001, 0.4))
+    # more candidate pairs than one chunk of the numpy sweep
+    yield _by_first(rng.random((1600, m))), 0.9
+    # exact duplicates and points exactly delta apart; for m > 1 the last
+    # point is in its neighbour's slab but too far off the first axis
+    edge = np.zeros((5, m))
+    edge[:, 0] = [0.25, 0.25, 0.25, 0.5, 0.75]
+    edge[4, -1] += 0.25 * (m > 1)
+    yield edge, 0.25
+    frames = [(dim, f) for (dim, k), fs in TIE_FRAMES.items() if k == m for f in fs]
+    for dim, frame in frames or [(3, np.eye(3))]:
+        centers = _lattice_centers(rng, dim, int(rng.integers(2000, 4001)))
+        coords = _by_first(centers @ np.array(frame, dtype=float).T)
+        scale = float(rng.choice(TIE_SCALES)) * _cell_side(centers)
+        for delta in (scale, np.nextafter(scale, 0.0), np.nextafter(scale, 1.0)):
+            yield coords, float(delta)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_backends_agree_on_pair_counts(impls, m):
+    for x, delta in _count_cases(m):
+        got = {int(impl.pair_count(x, delta)) for impl in impls.values()}
+        assert len(got) == 1
+        if len(x) <= 400:
+            assert got == {pair_energy_oracle(x, delta)}
+
+
+@pytest.mark.parametrize("dim,m", [(2, 1), (3, 2)])
+def test_count_ignores_order_of_first_coordinate_ties(impls, dim, m):
+    rng = np.random.default_rng(40 + dim)
+    frame = np.array(TIE_FRAMES[dim, m][1], dtype=float)
+    centers = _lattice_centers(rng, dim, 2000)
+    coords = centers @ frame.T
+    delta = np.sqrt(2.0) * _cell_side(centers)
+    for impl in impls.values():
+        want = coincidence_count(coords, delta, backend=impl)
+        for _ in range(5):
+            # random order within each run of equal first coordinates
+            tied = np.lexsort((rng.random(len(coords)), coords[:, 0]))
+            assert impl.pair_count(np.ascontiguousarray(coords[tied]), delta) == want
+            assert coincidence_count(coords[rng.permutation(len(coords))], delta, backend=impl) == want
 
 
 @pytest.mark.parametrize("dim,m", sorted(TIE_FRAMES))
