@@ -71,10 +71,13 @@ def _heavy_params(dim: int, big_l: float | None, tau: float | None) -> tuple[flo
     return (big_l if big_l is not None else max(1.0, 2.0 / tau)), tau
 
 
+_GEN_HELP = "generator spec, e.g. cantor:keep=0|3,dims=2,iters=5"
+
+
 def _add_common(p: _Parser, *, gen: bool = True):
     if gen:
         p.add_argument("--input", help="point-set file in the text format")
-        p.add_argument("--gen", help="generator spec, e.g. cantor:keep=0|3,dims=2,iters=5")
+        p.add_argument("--gen", help=_GEN_HELP)
     p.add_argument("--seed", type=int, help="seed for randomized steps (required there)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
@@ -85,7 +88,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a generated point set")
-    _add_common(p)
+    _add_common(p, gen=False)
+    p.add_argument("--gen", required=True, help=_GEN_HELP)
 
     p = sub.add_parser("content", help="minimal dyadic cover and its value")
     _add_common(p)
@@ -138,8 +142,6 @@ def _require_seed(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.gen is None:
-        raise _UsageError("generate requires --gen")
     P = _load_points(None, args.gen, args.seed)
     write_pointset(P, _out_file(Path(args.out), "points.txt", args.force))
     print(f"wrote {len(P)} cells at level {P.level} in dimension {P.dim}")

@@ -52,15 +52,21 @@ class CoverTree:
     """Sparse occupied dyadic tree over a point set with per-node cell counts.
 
     `levels[j]` holds the lex-sorted (N_j, dim) array of occupied level-j
-    cubes, `counts[j]` the number of point-set cells under each, and
-    `parents[j]` (j >= 1) the row in `levels[j - 1]` of each one's parent.
+    cubes, `parents[j]` (j >= 1) the row in `levels[j - 1]` of each one's
+    parent, and `counts[j]` the number of leaves under each level-j cube.
     """
 
     dim: int
     leaf_level: int
     levels: tuple[np.ndarray, ...]
-    counts: tuple[np.ndarray, ...]
     parents: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...] = field(init=False)
+
+    def __post_init__(self):
+        counts = [np.ones(self.levels[-1].shape[0], dtype=np.int64)]
+        for j in range(self.leaf_level - 1, -1, -1):
+            counts.insert(0, self.child_sums(j, counts[0]))
+        object.__setattr__(self, "counts", tuple(counts))
 
     def max_count(self, j: int) -> int:
         c = self.counts[j]
@@ -70,23 +76,37 @@ class CoverTree:
     def total(self) -> int:
         return int(self.counts[0].sum()) if self.counts[0].size else 0
 
+    def child_sums(self, j: int, values: np.ndarray) -> np.ndarray:
+        """Sum per-node values, or rows, of level j + 1 into their level-j parents."""
+        sums = np.zeros((self.levels[j].shape[0], *values.shape[1:]), dtype=values.dtype)
+        np.add.at(sums, self.parents[j + 1], values)
+        return sums
+
+    def antichain(self, marks: list[np.ndarray]) -> tuple[list[DyadicCube], np.ndarray]:
+        """The marked nodes with no marked strict ancestor, in (level, coords)
+        order, and the mask of the leaves under them; `marks[j]` is a bool
+        mask over `levels[j]`, one per level."""
+        cubes: list[DyadicCube] = []
+        under = np.zeros(self.levels[0].shape[0], dtype=bool)
+        for j, mark in enumerate(marks):
+            if j:
+                under = under[self.parents[j]]
+            top = mark & ~under
+            cubes.extend(DyadicCube(j, tuple(c)) for c in self.levels[j][top].tolist())
+            under |= top
+        return cubes, under
+
 
 def build_cover_tree(P: GridPointSet) -> CoverTree:
     """Aggregate cell counts up the dyadic tree, levels P.level down to 0."""
     if len(P) == 0:
         raise ValueError("cannot build a cover tree over an empty point set")
-    levels: list[np.ndarray] = [None] * (P.level + 1)  # type: ignore[list-item]
-    counts: list[np.ndarray] = [None] * (P.level + 1)  # type: ignore[list-item]
-    parents: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * (P.level + 1)
-    levels[P.level] = P.cells
-    counts[P.level] = np.ones(len(P), dtype=np.int64)
+    levels = [P.cells]
+    parents = [np.empty(0, dtype=np.intp)] * (P.level + 1)
     for j in range(P.level - 1, -1, -1):
-        uniq, parents[j + 1] = _unique_rows(levels[j + 1] >> 1)
-        agg = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(agg, parents[j + 1], counts[j + 1])
-        levels[j] = uniq
-        counts[j] = agg
-    return CoverTree(P.dim, P.level, tuple(levels), tuple(counts), tuple(parents))
+        uniq, parents[j + 1] = _unique_rows(levels[0] >> 1)
+        levels.insert(0, uniq)
+    return CoverTree(P.dim, P.level, tuple(levels), tuple(parents))
 
 
 @dataclass(frozen=True)
@@ -129,14 +149,6 @@ def _validate_exponent(P: GridPointSet, s: float) -> None:
         raise ValueError(f"exponent s={s} outside (0, {P.dim}]")
 
 
-def _child_sums(rows: np.ndarray, parents: np.ndarray, n_parents: int) -> np.ndarray:
-    """Sum level-(j+1) multiplicity rows into their level-j parents, behind
-    a leading zero column for level j itself."""
-    sums = np.zeros((n_parents, rows.shape[1] + 1), dtype=np.int64)
-    np.add.at(sums[:, 1:], parents, rows)
-    return sums
-
-
 def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
     """Minimize sum(side^s) over disjoint dyadic covers with levels in [j_min, P.level].
 
@@ -165,21 +177,13 @@ def _optimal_cover(tree: CoverTree, s: float, j_min: int) -> DyadicCover:
     rows = np.ones((tree.levels[L].shape[0], 1), dtype=np.int64)
     take[L] = np.ones(tree.levels[L].shape[0], dtype=bool)
     for j in range(L - 1, -1, -1):
-        rows = _child_sums(rows, tree.parents[j + 1], tree.levels[j].shape[0])
+        # column 0 counts cover cubes at level j itself, none yet
+        rows = np.pad(tree.child_sums(j, rows), ((0, 0), (1, 0)))
         take[j] = ctx.compare_rows(rows, j) >= 0 if j >= j_min else np.zeros(len(rows), bool)
         rows[take[j]] = 0
         rows[take[j], 0] = 1
 
-    # levels[j] rows are in lex order, so the cubes come out sorted by (level, coords)
-    cubes: list[DyadicCube] = []
-    active = np.ones(tree.levels[0].shape[0], dtype=bool)
-    for j in range(0, L + 1):
-        emit = active & take[j]
-        for i in np.flatnonzero(emit):
-            cubes.append(DyadicCube(j, tuple(int(c) for c in tree.levels[j][i])))
-        if j < L:
-            pass_down = active & ~take[j]
-            active = pass_down[tree.parents[j + 1]]
+    cubes, _ = tree.antichain(take)
     mult = {j: n for j, n in enumerate(rows[0].tolist()) if n}
     if Counter(c.level for c in cubes) != mult:
         raise AssertionError("reconstructed cover does not match DP value")
@@ -212,7 +216,7 @@ def delta_s_sets_from_cover(cover: DyadicCover) -> dict[int, GridPointSet]:
     for a in range(L, -1, -1):
         if a < L:
             anc = tree.parents[a + 1][anc]
-            rows = _child_sums(rows, tree.parents[a + 1], tree.levels[a].shape[0])
+            rows = np.pad(tree.child_sums(a, rows), ((0, 0), (1, 0)))
         # a cover cube's own row (weight equal to budget) is left out of the
         # check, so no exact tie goes to the fallback
         bad = np.flatnonzero(ctx.compare_rows(rows, a) > 0)

@@ -66,8 +66,8 @@ def coincidence_count(coords: np.ndarray, delta: float, backend=None) -> int:
     """
     impl = backend or _active
     coords = np.ascontiguousarray(coords, dtype=np.float64)
-    if coords.ndim != 2:
-        raise ValueError("coords must be a 2-D array")
+    if coords.ndim != 2 or coords.shape[1] == 0:
+        raise ValueError("coords must be a 2-D array with at least one column")
     if coords.shape[1] == 1:
         x = np.sort(coords[:, 0])[:, None]
     else:

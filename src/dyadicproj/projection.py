@@ -213,14 +213,13 @@ def classify_direction(
     delta: float | None = None,
     s: float = 1.0,
     eps: float = 0.1,
-    threshold_slack: float = 1.0,
 ) -> ClassifiedDirection:
     """Label V bad when the pair energy reaches its power-law threshold.
 
-    threshold = delta^(min(s,m) - 2s - 4eps) / threshold_slack.  For a good
-    direction, every subset with at least delta^(-s+eps) points projects
-    onto at least delta^(-min(s,m)+6eps) bins of size delta: this follows
-    from the energy bound by Cauchy-Schwarz and is what the scan checks.
+    threshold = delta^(min(s,m) - 2s - 4eps).  For a good direction, every
+    subset with at least delta^(-s+eps) points projects onto at least
+    delta^(-min(s,m)+6eps) bins of size delta: this follows from the energy
+    bound by Cauchy-Schwarz and is what the scan checks.
     """
     if len(P) == 0:
         raise ValueError("cannot classify directions for an empty set")
@@ -230,7 +229,7 @@ def classify_direction(
         delta = P.delta
     energy = pair_energy(P, V, delta)
     exponent = min(s, float(V.m)) - 2.0 * s - 4.0 * eps
-    threshold = delta**exponent / threshold_slack
+    threshold = delta**exponent
     label = "bad" if energy >= threshold else "good"
     return ClassifiedDirection(label, energy, threshold)
 
@@ -295,23 +294,20 @@ def direction_scan(
     master_seed: int = 0,
     m: int = 1,
     kappa: int | None = None,
-    threshold_slack: float = 1.0,
-    dim_slack: float | None = None,
     workers: int = 1,
 ) -> ScanReport:
     """Sample Haar planes, classify each, and compare with the eps-budget.
 
     Direction i draws from a stream derived from (master_seed, i), so the
     report is identical for any worker count.  The mean sampled energy is
-    reported next to its geometric ceiling
-    dim_slack * (delta^m * riesz + |P|).
+    reported next to its geometric ceiling dim_slack * (delta^m * riesz + |P|),
+    with dim_slack = 2^n; the report's threshold_slack is always 1.
     """
     if num_samples < 0:
         raise ValueError("num_samples must be >= 0")
     if delta is None:
         delta = P.delta
-    if dim_slack is None:
-        dim_slack = float(2**P.dim)
+    dim_slack = float(2**P.dim)
     n_pts = len(P)
     if kappa is None:
         kappa = max(1, min(n_pts, math.ceil(delta ** (-s + eps) - 1e-12)))
@@ -323,9 +319,7 @@ def direction_scan(
         ss, seed = _derived_seed(master_seed, index)
         rng = np.random.default_rng(ss)
         V = haar_sample(P.dim, m, rng)
-        label, energy, threshold = classify_direction(
-            P, V, delta, s, eps, threshold_slack
-        )
+        label, energy, threshold = classify_direction(P, V, delta, s, eps)
         n_boundary, cover = _bin_profile(project_points(V, P), m, delta, kappa)
         return DirectionRecord(
             index, seed, V.frame, energy, threshold, cover, label, n_boundary
@@ -355,8 +349,8 @@ def direction_scan(
         num_samples=num_samples,
         master_seed=int(master_seed),
         kappa=int(kappa),
-        threshold_slack=float(threshold_slack),
-        dim_slack=float(dim_slack),
+        threshold_slack=1.0,
+        dim_slack=dim_slack,
         per_direction=tuple(records),
         bad_fraction=bad_fraction,
         budget=float(delta**eps),

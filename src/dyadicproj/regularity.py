@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import _iroot, snap_exponent
+from .content import _optimal_cover, _validate_exponent, build_cover_tree
 # optimal_cover is not called here; it stays a name of this module for callers
-from .content import _optimal_cover, build_cover_tree, optimal_cover  # noqa: F401
+from .content import optimal_cover  # noqa: F401
 from .grid import DyadicCube, GridPointSet, _row_index, write_pointset
 
 __all__ = [
@@ -44,8 +45,7 @@ def minimal_spread_constant(P: GridPointSet, s: float) -> float:
     levels in [0, P.level]; 0.0 for the empty set, and >= 1.0 otherwise
     (witnessed by any single occupied cell).
     """
-    if not 0.0 < s <= P.dim:
-        raise ValueError(f"exponent s={s} outside (0, {P.dim}]")
+    _validate_exponent(P, s)
     if len(P) == 0:
         return 0.0
     tree = build_cover_tree(P)
@@ -111,8 +111,7 @@ def heavy_decompose(
     within one cell of the net.  `maximal_heavy` is in (level, coords)
     order.
     """
-    if not 0.0 < s <= P.dim:
-        raise ValueError(f"exponent s={s} outside (0, {P.dim}]")
+    _validate_exponent(P, s)
     if L < 1.0:
         raise ValueError(f"L={L} must be >= 1")
     if tau is None:
@@ -131,20 +130,14 @@ def heavy_decompose(
 
     tree = build_cover_tree(P)
     tcl = tau * C * L
-    maximal: list[DyadicCube] = []
-    blocked = np.zeros(tree.levels[0].shape[0], dtype=bool)  # under chosen heavy cube
-    for j in range(P.level + 1):
-        nodes = tree.levels[j]
-        counts = tree.counts[j]
-        is_heavy = (counts.astype(np.float64) >= _heavy_threshold(s, tcl, P.level - j)) & ~blocked
-        for i in np.flatnonzero(is_heavy):
-            maximal.append(DyadicCube(j, tuple(int(c) for c in nodes[i])))
-        settled = blocked | is_heavy
-        if j < P.level:
-            blocked = settled[tree.parents[j + 1]]
-    # the leaf level is P.cells in order, so `settled` now marks the bad cells
-    bad = GridPointSet(P.dim, P.level, P.cells[settled])
-    good = GridPointSet(P.dim, P.level, P.cells[~settled])
+    heavy = [
+        tree.counts[j].astype(np.float64) >= _heavy_threshold(s, tcl, P.level - j)
+        for j in range(P.level + 1)
+    ]
+    maximal, under = tree.antichain(heavy)
+    # the leaf level is P.cells in order
+    bad = GridPointSet(P.dim, P.level, P.cells[under])
+    good = GridPointSet(P.dim, P.level, P.cells[~under])
     net = _greedy_net(good)
     return Decomposition(good, bad, tuple(maximal), (s, float(C), float(L), float(tau)), net)
 
@@ -201,8 +194,7 @@ def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> Gri
     """
     if len(P) == 0:
         raise ValueError("cannot extract from an empty point set")
-    if not 0.0 < s <= P.dim:
-        raise ValueError(f"exponent s={s} outside (0, {P.dim}]")
+    _validate_exponent(P, s)
     tree = build_cover_tree(P)
     L = P.level
     frac = snap_exponent(s)
@@ -216,9 +208,7 @@ def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> Gri
     budget: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
     budget[L] = np.ones(tree.levels[L].shape[0], dtype=np.int64)
     for j in range(L - 1, -1, -1):
-        sums = np.zeros(tree.levels[j].shape[0], dtype=np.int64)
-        np.add.at(sums, tree.parents[j + 1], budget[j + 1])
-        budget[j] = np.minimum(sums, min(cap(j), len(P)))
+        budget[j] = np.minimum(tree.child_sums(j, budget[j + 1]), min(cap(j), len(P)))
 
     # each child takes what its parent's quota leaves after the budgets of
     # its earlier siblings in lexicographic order, up to its own budget

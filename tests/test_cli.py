@@ -28,6 +28,15 @@ class TestGenerate:
         assert run(["generate", "--gen", "random:n=2,s=1.0,level=5", "--out", tmp_path]) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_input_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.txt"
+        assert run(["generate", "--input", missing, "--gen", "point:n=2,level=3",
+                    "--out", tmp_path]) == 1
+        assert "--input" in capsys.readouterr().err
+        assert run(["generate", "--out", tmp_path]) == 1
+        assert "--gen" in capsys.readouterr().err
+        assert not (tmp_path / "points.txt").exists()
+
     def test_force_guard(self, tmp_path):
         assert run(["generate", "--gen", CANTOR2, "--out", tmp_path]) == 0
         assert run(["generate", "--gen", CANTOR2, "--out", tmp_path]) == 1

@@ -48,7 +48,7 @@ def _lattice_centers(rng, dim: int, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
 def test_backends_agree_on_riesz_exactly(impls, dim):
-    # sizes around the C lane width (8) and the numpy chunk (2048)
+    # sizes around the C lane width (8), and rows about 2048 long
     rng = np.random.default_rng(70 + dim)
     for n in (2, 7, 8, 9, 2047, 2048, 2049):
         pts = _lattice_centers(rng, dim, n)
@@ -100,6 +100,12 @@ def test_riesz_dimension_limit(impls):
             riesz_pair_sum(pts, 1, backend=impl)
     with pytest.raises(ValueError, match="coordinates"):
         impls["compiled"].riesz_row_sums(pts, 1)
+
+
+def test_coincidence_count_refuses_arrays_without_columns():
+    for coords in (np.zeros((3, 0)), np.zeros((0, 0)), np.zeros(3)):
+        with pytest.raises(ValueError, match="2-D array"):
+            coincidence_count(coords, 0.1)
 
 
 def test_dispatcher_counts_match_brute_force():
