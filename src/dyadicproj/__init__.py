@@ -3,9 +3,7 @@ for integer point sets on the unit cube."""
 
 from .content import (
     CoverMinimalityError,
-    CoverTree,
     DyadicCover,
-    build_cover_tree,
     delta_s_sets_from_cover,
     finite_strong_cover,
     optimal_cover,
@@ -23,8 +21,10 @@ from .fractals import (
     parse_generator_spec,
 )
 from .grid import (
+    CoverTree,
     DyadicCube,
     GridPointSet,
+    build_cover_tree,
     coarsen,
     covering_number,
     dilate,

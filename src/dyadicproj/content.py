@@ -18,13 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import ExponentContext
-from .grid import DyadicCube, GridPointSet, _row_index, _unique_rows, dilate
+from .grid import DyadicCube, GridPointSet, _row_index, _unique_rows, build_cover_tree, dilate
 
 __all__ = [
-    "CoverTree",
     "DyadicCover",
     "CoverMinimalityError",
-    "build_cover_tree",
     "optimal_cover",
     "delta_s_sets_from_cover",
     "finite_strong_cover",
@@ -45,68 +43,6 @@ class CoverMinimalityError(ValueError):
             f"cover weight {total:.17g} under cube level={cube.level} "
             f"coords={cube.coords} exceeds {budget:.17g}"
         )
-
-
-@dataclass(frozen=True)
-class CoverTree:
-    """Sparse occupied dyadic tree over a point set with per-node cell counts.
-
-    `levels[j]` holds the lex-sorted (N_j, dim) array of occupied level-j
-    cubes, `parents[j]` (j >= 1) the row in `levels[j - 1]` of each one's
-    parent, and `counts[j]` the number of leaves under each level-j cube.
-    """
-
-    dim: int
-    leaf_level: int
-    levels: tuple[np.ndarray, ...]
-    parents: tuple[np.ndarray, ...]
-    counts: tuple[np.ndarray, ...] = field(init=False)
-
-    def __post_init__(self):
-        counts = [np.ones(self.levels[-1].shape[0], dtype=np.int64)]
-        for j in range(self.leaf_level - 1, -1, -1):
-            counts.insert(0, self.child_sums(j, counts[0]))
-        object.__setattr__(self, "counts", tuple(counts))
-
-    def max_count(self, j: int) -> int:
-        c = self.counts[j]
-        return int(c.max()) if c.size else 0
-
-    @property
-    def total(self) -> int:
-        return int(self.counts[0].sum()) if self.counts[0].size else 0
-
-    def child_sums(self, j: int, values: np.ndarray) -> np.ndarray:
-        """Sum per-node values, or rows, of level j + 1 into their level-j parents."""
-        sums = np.zeros((self.levels[j].shape[0], *values.shape[1:]), dtype=values.dtype)
-        np.add.at(sums, self.parents[j + 1], values)
-        return sums
-
-    def antichain(self, marks: list[np.ndarray]) -> tuple[list[DyadicCube], np.ndarray]:
-        """The marked nodes with no marked strict ancestor, in (level, coords)
-        order, and the mask of the leaves under them; `marks[j]` is a bool
-        mask over `levels[j]`, one per level."""
-        cubes: list[DyadicCube] = []
-        under = np.zeros(self.levels[0].shape[0], dtype=bool)
-        for j, mark in enumerate(marks):
-            if j:
-                under = under[self.parents[j]]
-            top = mark & ~under
-            cubes.extend(DyadicCube(j, tuple(c)) for c in self.levels[j][top].tolist())
-            under |= top
-        return cubes, under
-
-
-def build_cover_tree(P: GridPointSet) -> CoverTree:
-    """Aggregate cell counts up the dyadic tree, levels P.level down to 0."""
-    if len(P) == 0:
-        raise ValueError("cannot build a cover tree over an empty point set")
-    levels = [P.cells]
-    parents = [np.empty(0, dtype=np.intp)] * (P.level + 1)
-    for j in range(P.level - 1, -1, -1):
-        uniq, parents[j + 1] = _unique_rows(levels[0] >> 1)
-        levels.insert(0, uniq)
-    return CoverTree(P.dim, P.level, tuple(levels), tuple(parents))
 
 
 @dataclass(frozen=True)
@@ -164,14 +100,9 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
     _validate_exponent(P, s)
     if not 0 <= j_min <= P.level:
         raise ValueError(f"j_min={j_min} outside [0, {P.level}]")
-    return _optimal_cover(build_cover_tree(P), s, j_min)
-
-
-def _optimal_cover(tree: CoverTree, s: float, j_min: int) -> DyadicCover:
-    """optimal_cover of the set whose cover tree is `tree`, with s and j_min
-    already checked against it."""
+    tree = build_cover_tree(P)
     ctx = ExponentContext.create(s)
-    L = tree.leaf_level
+    L = P.level
 
     take: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
     rows = np.ones((tree.levels[L].shape[0], 1), dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Exact dyadic-grid primitives: cubes, integer point sets, covering numbers.
+"""Exact dyadic-grid primitives: cubes, integer point sets, cover trees, covering numbers.
 
 Everything lives on the unit cube [0,1]^n discretized at a resolution level
 k, so a cell is an n-vector of integers in [0, 2^k) and represents the point
@@ -14,7 +14,7 @@ any width: one fused int64 key would not fit dim * level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -29,6 +29,8 @@ __all__ = [
     "MAX_DIM",
     "DyadicCube",
     "GridPointSet",
+    "CoverTree",
+    "build_cover_tree",
     "covering_number",
     "dilate",
     "coarsen",
@@ -212,6 +214,74 @@ class GridPointSet:
         )
 
 
+@dataclass(frozen=True)
+class CoverTree:
+    """Sparse occupied dyadic tree over a point set with per-node cell counts.
+
+    `levels[j]` holds the lex-sorted (N_j, dim) array of occupied level-j
+    cubes, `parents[j]` (j >= 1) the row in `levels[j - 1]` of each one's
+    parent, and `counts[j]` the number of leaves under each level-j cube;
+    the last level is the leaves.  A set has one tree (`build_cover_tree`),
+    kept with it, and every array of it is read-only; the tree of
+    `coarsen(P, j)` is the level-0..j prefix of P's, sharing its arrays.
+    """
+
+    levels: tuple[np.ndarray, ...]
+    parents: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...] = field(init=False)
+
+    def __post_init__(self):
+        counts = [np.ones(self.levels[-1].shape[0], dtype=np.int64)]
+        for j in range(len(self.levels) - 2, -1, -1):
+            counts.insert(0, self.child_sums(j, counts[0]))
+        object.__setattr__(self, "counts", tuple(counts))
+        for arr in (*self.levels, *self.parents, *counts):
+            arr.setflags(write=False)
+
+    def max_count(self, j: int) -> int:
+        return int(self.counts[j].max())
+
+    def child_sums(self, j: int, values: np.ndarray) -> np.ndarray:
+        """Sum per-node values, or rows, of level j + 1 into their level-j parents."""
+        sums = np.zeros((self.levels[j].shape[0], *values.shape[1:]), dtype=values.dtype)
+        np.add.at(sums, self.parents[j + 1], values)
+        return sums
+
+    def antichain(self, marks: list[np.ndarray]) -> tuple[list[DyadicCube], np.ndarray]:
+        """The marked nodes with no marked strict ancestor, in (level, coords)
+        order, and the mask of the leaves under them; `marks[j]` is a bool
+        mask over `levels[j]`, one per level."""
+        cubes: list[DyadicCube] = []
+        under = np.zeros(self.levels[0].shape[0], dtype=bool)
+        for j, mark in enumerate(marks):
+            if j:
+                under = under[self.parents[j]]
+            top = mark & ~under
+            cubes.extend(DyadicCube(j, tuple(c)) for c in self.levels[j][top].tolist())
+            under |= top
+        return cubes, under
+
+
+def _build_tree(P: GridPointSet) -> CoverTree:
+    """P's occupied cubes and their parent rows, levels P.level down to 0."""
+    levels = [P.cells]
+    parents = [np.empty(0, dtype=np.intp)] * (P.level + 1)
+    for j in range(P.level - 1, -1, -1):
+        uniq, parents[j + 1] = _unique_rows(levels[0] >> 1)
+        levels.insert(0, uniq)
+    return CoverTree(tuple(levels), tuple(parents))
+
+
+def build_cover_tree(P: GridPointSet) -> CoverTree:
+    """P's cover tree: built on the first call and kept in the instance
+    dict (not a field, so equality and repr ignore it), as `centers` is."""
+    if len(P) == 0:
+        raise ValueError("cannot build a cover tree over an empty point set")
+    if "_tree" not in P.__dict__:
+        P.__dict__["_tree"] = _build_tree(P)
+    return P.__dict__["_tree"]
+
+
 def covering_number(P: GridPointSet, j: int) -> int:
     """Number of level-j dyadic cubes containing at least one cell of P.
 
@@ -219,12 +289,7 @@ def covering_number(P: GridPointSet, j: int) -> int:
     """
     if not 0 <= j <= P.level:
         raise ValueError(f"level {j} outside [0, {P.level}]")
-    if len(P) == 0:
-        return 0
-    shift = P.level - j
-    if shift == 0:
-        return len(P)
-    return len(_unique_rows(P.cells >> shift)[0])
+    return len(build_cover_tree(P).levels[j]) if len(P) else 0
 
 
 _CHUNK_ROWS = 1 << 18
@@ -257,12 +322,20 @@ def dilate(P: GridPointSet, r: int) -> GridPointSet:
 
 
 def coarsen(P: GridPointSet, level: int) -> GridPointSet:
-    """Project P to a coarser grid: the occupied level-`level` cells."""
+    """Project P to a coarser grid: the occupied level-`level` cells.
+
+    They are read from P's cover tree, and the result keeps the tree's
+    level-0..`level` prefix as its own, so neither set's tree is built
+    again; the empty set builds no tree.
+    """
     if not 0 <= level <= P.level:
         raise ValueError(f"level {level} outside [0, {P.level}]")
-    if level == P.level or len(P) == 0:
-        return GridPointSet(P.dim, level, P.cells[: len(P)])
-    return GridPointSet(P.dim, level, P.cells >> (P.level - level))
+    if len(P) == 0:
+        return GridPointSet.empty(P.dim, level)
+    tree = build_cover_tree(P)
+    Q = GridPointSet(P.dim, level, tree.levels[level])
+    Q.__dict__["_tree"] = CoverTree(tree.levels[: level + 1], tree.parents[: level + 1])
+    return Q
 
 
 # --- point-set text format ------------------------------------------------

@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .content import build_cover_tree
-from .grid import GridPointSet, _unique_rows
+from .grid import GridPointSet, _unique_rows, build_cover_tree
 
 __all__ = [
     "Plane",

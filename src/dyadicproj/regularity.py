@@ -19,10 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import _iroot, snap_exponent
-from .content import _optimal_cover, _validate_exponent, build_cover_tree
-# optimal_cover is not called here; it stays a name of this module for callers
-from .content import optimal_cover  # noqa: F401
-from .grid import DyadicCube, GridPointSet, _row_index, write_pointset
+from .content import _validate_exponent, optimal_cover
+from .grid import DyadicCube, GridPointSet, _row_index, build_cover_tree, write_pointset
 
 __all__ = [
     "Decomposition",
@@ -49,11 +47,7 @@ def minimal_spread_constant(P: GridPointSet, s: float) -> float:
     if len(P) == 0:
         return 0.0
     tree = build_cover_tree(P)
-    best = 0.0
-    for j in range(P.level + 1):
-        ratio = tree.max_count(j) / 2.0 ** ((P.level - j) * s)
-        best = max(best, ratio)
-    return best
+    return max(tree.max_count(j) / 2.0 ** ((P.level - j) * s) for j in range(P.level + 1))
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,7 @@ def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> Gri
         quota = child_quota
 
     S = GridPointSet(P.dim, P.level, tree.levels[L][quota > 0])
-    content = _optimal_cover(tree, s, 0).value
+    content = optimal_cover(P, s).value
     need = min_fraction * content * 2.0 ** (L * s)
     if len(S) < need - 1e-9:
         raise ExtractionFailedError(

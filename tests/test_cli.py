@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dyadicproj
+from dyadicproj import grid
 from dyadicproj.cli import main
 from dyadicproj.grid import read_pointset
 
@@ -141,6 +142,21 @@ class TestMultiscan:
         ) == 0
         second = {f.name: f.read_bytes() for f in (tmp_path / "r").iterdir()}
         assert first == second
+
+    def test_builds_one_tree_per_input_and_net(self, tmp_path, monkeypatch):
+        built, build = [], grid._build_tree
+        monkeypatch.setattr(grid, "_build_tree", lambda P: built.append(P) or build(P))
+        assert run(
+            ["multiscan", "--gen", "random:n=2,s=1.5,level=8", "--s", 1.5, "--eps", 0.1,
+             "--samples", 5, "--seed", 3, "--level-min", 3, "--level-max", 8,
+             "--out", tmp_path]
+        ) == 0
+        # the input's tree serves every scale; each scanned net builds its own
+        scanned = sorted(int(f.name[5:-9]) for f in tmp_path.glob("scale*_scan.txt"))
+        assert len(scanned) == 6
+        cells = len(read_pointset(tmp_path / "scale8_points.txt"))  # the input's
+        assert [(P.level, len(P)) for P in built[:1]] == [(8, cells)]
+        assert [P.level for P in built[1:]] == scanned
 
     def test_line_with_tight_budget_violates(self, tmp_path, capsys):
         code = run(

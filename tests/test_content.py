@@ -41,13 +41,12 @@ class TestCoverTree:
         tree = build_cover_tree(P)
         for j in range(4):
             assert tree.counts[j].sum() == len(P)
-        assert tree.total == len(P)
 
     def test_cantor_counts_by_recursion_oracle(self):
         # oracle: cells follow c -> 4c + {0, 3}; counts halve every 2 levels
         P = gen_cantor_product(QUARTER_CANTOR, 2)
         tree = build_cover_tree(P)
-        assert tree.total == 4
+        assert tree.counts[0].tolist() == [4]
         assert sorted(tree.counts[2].tolist()) == [2, 2]
         assert sorted(tree.counts[4].tolist()) == [1, 1, 1, 1]
 

@@ -3,13 +3,14 @@ import sys
 import numpy as np
 import pytest
 
-from dyadicproj.content import build_cover_tree
+from dyadicproj import grid
 from dyadicproj.grid import (
     DyadicCube,
     GridPointSet,
     _SPACE,
     _row_index,
     _unique_rows,
+    build_cover_tree,
     coarsen,
     covering_number,
     dilate,
@@ -102,8 +103,13 @@ class TestWideRows:
         assert (-1,) * dim not in P
 
     @pytest.mark.parametrize("dim", [1, 4, 8])
-    def test_empty(self, dim):
+    def test_empty(self, dim, monkeypatch):
+        monkeypatch.setattr(grid, "_build_tree", None)  # no tree is built
         E = GridPointSet(dim, 20, np.empty((0, dim), dtype=np.int64))
+        for j in (0, 3, 20):
+            assert coarsen(E, j).cells.shape == (0, dim) and coarsen(E, j).level == j
+            with pytest.raises(ValueError):
+                build_cover_tree(coarsen(E, j))
         P = GridPointSet.from_cells(dim, 20, [(5,) * dim])
         assert E.cells.shape == (0, dim)
         assert covering_number(E, 3) == 0
@@ -112,15 +118,36 @@ class TestWideRows:
         assert E.issubset(P) and not P.issubset(E)
         assert (5,) * dim not in E
 
-    @pytest.mark.parametrize("dim, level", CASES)
-    def test_cover_tree(self, rng, dim, level):
-        P = GridPointSet(dim, level, _shared_prefix_rows(rng, dim, level))
+    @staticmethod
+    def _assert_tree_matches_oracle(P):
         tree = build_cover_tree(P)
         levels, counts, parents = cover_tree_oracle(P)
-        for j in range(level + 1):
+        assert len(tree.levels) == len(tree.parents) == P.level + 1
+        for j in range(P.level + 1):
             assert tree.levels[j].tolist() == [list(q) for q in levels[j]]
             assert tree.counts[j].tolist() == counts[j]
             assert tree.parents[j].tolist() == parents[j]
+
+    @pytest.mark.parametrize("dim, level", CASES)
+    def test_cover_tree(self, rng, dim, level):
+        P = GridPointSet(dim, level, _shared_prefix_rows(rng, dim, level))
+        self._assert_tree_matches_oracle(P)
+        tree = build_cover_tree(P)
+        assert build_cover_tree(P) is tree
+        for arr in (*tree.levels, *tree.parents, *tree.counts):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("dim, level", CASES)
+    def test_coarsen_keeps_prefix_tree(self, rng, dim, level, monkeypatch):
+        P = GridPointSet(dim, level, _shared_prefix_rows(rng, dim, level))
+        built, build = [], grid._build_tree
+        monkeypatch.setattr(grid, "_build_tree", lambda Q: built.append(Q) or build(Q))
+        for j in range(level + 1):
+            Q = coarsen(P, j)
+            assert Q.cells.tolist() == [list(c) for c in cell_tuples(P.cells >> (level - j))]
+            self._assert_tree_matches_oracle(Q)
+        # P's tree was built once, and no coarsening built its own
+        assert len(built) == 1 and built[0] is P
 
     @pytest.mark.parametrize("dim, level", CASES)
     def test_row_index(self, rng, dim, level):
@@ -227,10 +254,11 @@ class TestDilate:
 
 
 class TestCoarsen:
-    def test_matches_covering_number(self, rng):
+    def test_matches_tuple_oracle(self, rng):
         P = random_subset(rng, 2, 4)
         for j in range(5):
-            assert len(coarsen(P, j)) == covering_number(P, j)
+            want = cell_tuples(P.cells >> (4 - j))
+            assert coarsen(P, j).cells.tolist() == [list(c) for c in want]
 
 
 class TestPointsetFormat:

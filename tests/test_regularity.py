@@ -8,9 +8,9 @@ from dyadicproj.fractals import (
     gen_degenerate,
     gen_random_tree_set,
 )
-from dyadicproj import content, regularity
+from dyadicproj import grid
 from dyadicproj.grid import GridPointSet
-from dyadicproj.content import build_cover_tree, optimal_cover
+from dyadicproj.content import optimal_cover
 from dyadicproj.regularity import (
     _greedy_net,
     frostman_subset,
@@ -211,13 +211,14 @@ class TestFrostmanSubset:
 
     def test_builds_one_cover_tree(self, monkeypatch):
         calls = []
+        build = grid._build_tree
 
         def counted(P):
             calls.append(len(P))
-            return build_cover_tree(P)
+            return build(P)
 
-        monkeypatch.setattr(content, "build_cover_tree", counted)
-        monkeypatch.setattr(regularity, "build_cover_tree", counted)
+        # build_cover_tree returns a kept tree, so count the builds behind it
+        monkeypatch.setattr(grid, "_build_tree", counted)
         P = gen_random_tree_set(2, 1.3, 7, seed=1)
         frostman_subset(P, 1.3)
         assert calls == [len(P)]
