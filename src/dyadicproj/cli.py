@@ -12,12 +12,16 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .content import optimal_cover, write_cover
 from .fractals import parse_generator_spec
 from .grid import GridPointSet, coarsen, read_pointset, write_pointset
-from .projection import direction_scan, summary_line, write_scan_csv, write_scan_report
+from .projection import (
+    _derived_seed,
+    direction_scan,
+    summary_line,
+    write_scan_csv,
+    write_scan_report,
+)
 from .regularity import (
     heavy_decompose,
     frostman_subset,
@@ -60,15 +64,6 @@ def _out_file(out_dir: Path, name: str, force: bool) -> Path:
     if path.exists() and not force:
         raise _UsageError(f"{path} exists; pass --force to overwrite")
     return path
-
-
-def _heavy_params(dim: int, big_l: float | None, tau: float | None) -> tuple[float, float]:
-    """(L, tau) with the defaults tau = 4^-dim and L = max(1, 2/tau).
-
-    tau*L > 1 keeps the root from being heavy: its threshold is tau*L*|P|
-    under the normalization C = |P| * delta^s."""
-    tau = tau if tau is not None else 4.0**-dim
-    return (big_l if big_l is not None else max(1.0, 2.0 / tau)), tau
 
 
 _GEN_HELP = "generator spec, e.g. cantor:keep=0|3,dims=2,iters=5"
@@ -165,7 +160,7 @@ def _cmd_spread(args) -> int:
 def _cmd_decompose(args) -> int:
     P = _load_points(args.input, args.gen, args.seed)
     C = len(P) * 2.0 ** (-P.level * args.s)
-    dec = heavy_decompose(P, args.s, C, *_heavy_params(P.dim, args.big_l, args.tau))
+    dec = heavy_decompose(P, args.s, C, args.big_l, args.tau)
     out = Path(args.out)
     for name in ("good.txt", "bad.txt", "heavy.txt"):
         _out_file(out, name, args.force)
@@ -221,7 +216,6 @@ def _cmd_multiscan(args) -> int:
             f"for input at level {P.level}"
         )
     out = Path(args.out)
-    big_l, tau = _heavy_params(P.dim, args.big_l, args.tau)
 
     rows = []
     worst = (None, -1.0)
@@ -233,16 +227,12 @@ def _cmd_multiscan(args) -> int:
         Pj = coarsen(P, j)
         delta = 2.0**-j
         C = len(Pj) * delta**args.s
-        dec = heavy_decompose(Pj, args.s, C, big_l, tau)
+        dec = heavy_decompose(Pj, args.s, C, args.big_l, args.tau)
         write_decomposition(dec, out, prefix=f"scale{j}_")
         write_pointset(Pj, out / f"scale{j}_points.txt")
         cover = optimal_cover(Pj, args.s)
         write_cover(cover, out / f"scale{j}_cover.txt")
-        scale_seed = int(
-            np.random.SeedSequence(seed, spawn_key=(j,)).generate_state(
-                1, np.uint64
-            )[0]
-        )
+        scale_seed = _derived_seed(seed, j)[1]
         if len(dec.net):
             report = direction_scan(
                 dec.net,

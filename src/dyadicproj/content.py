@@ -224,16 +224,21 @@ def strong_cover_misses(
 # --- cover text format ------------------------------------------------------
 #
 # One line `level c_1 ... c_n` per cube (level-major, lexicographic), then a
-# footer `value <decimal>`.
+# footer `value <decimal>`.  A decomposition's heavy-cube list has it too.
+
+
+def _write_cubes(cubes: tuple[DyadicCube, ...], value: float, path) -> None:
+    """Write cubes and a footer value in the cover text format."""
+    lines = [
+        f"{c.level} " + " ".join(str(q) for q in c.coords)
+        for c in sorted(cubes, key=lambda c: (c.level, c.coords))
+    ]
+    lines.append(f"value {value:.17g}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_cover(cover: DyadicCover, path) -> None:
-    lines = [
-        f"{c.level} " + " ".join(str(q) for q in c.coords)
-        for c in sorted(cover.cubes, key=lambda c: (c.level, c.coords))
-    ]
-    lines.append(f"value {cover.value:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_cubes(cover.cubes, cover.value, path)
 
 
 def read_cover(path, s: float) -> DyadicCover:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MAX_LEVEL, GridPointSet
+from .grid import MAX_DIM, MAX_LEVEL, GridPointSet
 
 __all__ = [
     "CantorPattern",
@@ -39,8 +39,8 @@ class CantorPattern:
     def __post_init__(self):
         if self.base < 2 or self.base & (self.base - 1):
             raise ValueError(f"base {self.base} must be a power of two >= 2")
-        if not 1 <= len(self.keep) <= 8:
-            raise ValueError("pattern needs between 1 and 8 axes")
+        if not 1 <= len(self.keep) <= MAX_DIM:
+            raise ValueError(f"pattern needs between 1 and {MAX_DIM} axes")
         norm = []
         for axis in self.keep:
             vals = tuple(sorted(set(int(v) for v in axis)))

@@ -5,11 +5,12 @@ k, so a cell is an n-vector of integers in [0, 2^k) and represents the point
 at its center.  All coordinates are 64-bit integers and levels are capped at
 20, which keeps squared pairwise distances (in cell units) well inside int64.
 
-Cell rows are kept in lexicographic order.  `_unique_rows` (a `np.lexsort`,
-skipped when the rows are already in order, and a comparison of adjacent
-rows) does every dedup and grouping on them, and `_row_index` (a column by
-column search of rows in order) every membership test and row lookup, at
-any width: one fused int64 key would not fit dim * level.
+Cell rows are kept in lexicographic order.  One primitive, `_unique_rows`
+(a `np.lexsort`, skipped when the rows are already in order, and a
+comparison of adjacent rows), does every dedup, grouping, membership test
+and row lookup on them (`_row_index` groups the rows sought together with
+the rows searched), at any width: one fused int64 key would not fit
+dim * level.
 """
 
 from __future__ import annotations
@@ -94,40 +95,12 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Position in `b` of each row of `a` (one of them when `b` repeats the
-    row), or -1 where the row is absent from `b`.
-
-    `b` is searched column by column, after one lexsort unless its rows are
-    already in order, as the cells of a `GridPointSet` are: a row of `a`
-    keeps the first row of `b` that shares its prefix, and the next column is
-    looked up among the (prefix start, column value) keys of `b`, which then
-    increase.  A key is below len(b) * 2^MAX_LEVEL for cell coordinates, so
-    it fits in int64 at any dim * level.
-    """
-    if not _rows_sorted(b):
-        order = np.lexsort(b.T[::-1])
-        at = _row_index(a, b[order])
-        return np.where(at >= 0, order[at], -1)
-    where = np.full(len(a), -1, dtype=np.intp)
-    if len(b) == 0:
-        return where
-    live = np.arange(len(a))  # rows of `a` that agree with some row of `b` so far
-    at = np.zeros(len(a), dtype=np.intp)  # first row of `b` with their prefix
-    start = np.zeros(len(b), dtype=np.intp)  # the same for each row of `b`
-    for c in range(b.shape[1]):
-        col, x = b[:, c], a[live, c]
-        lo, hi = col.min(), col.max()
-        inside = (x >= lo) & (x <= hi)
-        live, at, x = live[inside], at[inside], x[inside]
-        key = start * (hi - lo + 1) + (col - lo)
-        want = at * (hi - lo + 1) + (x - lo)
-        at = np.searchsorted(key, want)
-        hit = key[np.minimum(at, len(b) - 1)] == want
-        live, at = live[hit], at[hit]
-        first = np.ones(len(b), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        start = np.maximum.accumulate(np.where(first, np.arange(len(b)), 0))
-    where[live] = at
-    return where
+    row), or -1 where the row is absent from `b`: the rows of `b` and `a`
+    are grouped together, and a row of `a` reads its group's row of `b`."""
+    _, group = _unique_rows(np.concatenate([b, a]))
+    at = np.full(len(group), -1, dtype=np.intp)
+    at[group[: len(b)]] = np.arange(len(b))
+    return at[group[len(b) :]]
 
 
 def _as_cell_array(dim: int, cells) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import _iroot, snap_exponent
-from .content import _validate_exponent, optimal_cover
+from .content import _validate_exponent, _write_cubes, optimal_cover
 from .grid import DyadicCube, GridPointSet, _row_index, build_cover_tree, write_pointset
 
 __all__ = [
@@ -55,16 +55,23 @@ class Decomposition:
     """Good/bad split of a point set by maximal heavy cubes.
 
     Every bad cell lies under a cube of `maximal_heavy` (an antichain of
-    heavy cubes with no heavy strict ancestor); no good cell does.  `net` is
-    the greedy subset of the good part, pairwise at least two cells apart,
-    used for regularity claims.
+    heavy cubes with no heavy strict ancestor); no good cell does.
     """
 
     good: GridPointSet
     bad: GridPointSet
     maximal_heavy: tuple[DyadicCube, ...]
     params: tuple[float, float, float, float]  # (s, C, L, tau)
-    net: GridPointSet
+
+    @property
+    def net(self) -> GridPointSet:
+        """The greedy subset of the good part, pairwise at least two cells
+        apart, used for regularity claims.  Built on the first read and kept
+        in the instance dict (not a field, so equality and repr ignore it),
+        as `GridPointSet.centers` is."""
+        if "_net" not in self.__dict__:
+            self.__dict__["_net"] = _greedy_net(self.good)
+        return self.__dict__["_net"]
 
     @property
     def heavy_weight(self) -> float:
@@ -88,7 +95,7 @@ def heavy_decompose(
     P: GridPointSet,
     s: float,
     C: float,
-    L: float,
+    L: float | None = None,
     tau: float | None = None,
 ) -> Decomposition:
     """Split P into a bad part under heavy cubes and a regular good part.
@@ -100,21 +107,27 @@ def heavy_decompose(
     over maximal heavy cubes is at most |P| * delta^s / (tau*C*L), hence at
     most 1/(tau*L) whenever |P| <= C * delta^-s.
 
-    The net keeps a greedy maximal subset of the good cells pairwise at
-    least two cells apart (one full cell of gap), so every good cell lies
-    within one cell of the net.  `maximal_heavy` is in (level, coords)
-    order.
+    tau defaults to 4^-dim and L to max(1, 2/tau).  tau*L > 1 keeps the
+    root from being heavy under the normalization C = |P| * delta^s, where
+    its threshold is tau*L*|P|.
+
+    The net, built on its first read, keeps a greedy maximal subset of the
+    good cells pairwise at least two cells apart (one full cell of gap), so
+    every good cell lies within one cell of the net.  `maximal_heavy` is in
+    (level, coords) order.
     """
     _validate_exponent(P, s)
-    if L < 1.0:
-        raise ValueError(f"L={L} must be >= 1")
     if tau is None:
         tau = 4.0 ** -P.dim
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau={tau} outside (0, 1]")
+    if L is None:
+        L = max(1.0, 2.0 / tau)
+    if L < 1.0:
+        raise ValueError(f"L={L} must be >= 1")
     if len(P) == 0:
         empty = GridPointSet.empty(P.dim, P.level)
-        return Decomposition(empty, empty, (), (s, C, L, tau), empty)
+        return Decomposition(empty, empty, (), (s, C, L, tau))
     if len(P) > C * 2.0 ** (P.level * s) * (1 + 1e-9):
         warnings.warn(
             f"cell count {len(P)} exceeds C*delta^-s = {C * 2.0 ** (P.level * s):.6g}; "
@@ -132,8 +145,7 @@ def heavy_decompose(
     # the leaf level is P.cells in order
     bad = GridPointSet(P.dim, P.level, P.cells[under])
     good = GridPointSet(P.dim, P.level, P.cells[~under])
-    net = _greedy_net(good)
-    return Decomposition(good, bad, tuple(maximal), (s, float(C), float(L), float(tau)), net)
+    return Decomposition(good, bad, tuple(maximal), (s, float(C), float(L), float(tau)))
 
 
 def _greedy_net(P: GridPointSet) -> GridPointSet:
@@ -234,8 +246,4 @@ def write_decomposition(dec: Decomposition, out_dir, prefix: str = "") -> None:
     out = Path(out_dir)
     write_pointset(dec.good, out / f"{prefix}good.txt")
     write_pointset(dec.bad, out / f"{prefix}bad.txt")
-    lines = [
-        f"{q.level} " + " ".join(str(c) for c in q.coords) for q in dec.maximal_heavy
-    ]
-    lines.append(f"value {dec.heavy_weight:.17g}")
-    (out / f"{prefix}heavy.txt").write_text("\n".join(lines) + "\n")
+    _write_cubes(dec.maximal_heavy, dec.heavy_weight, out / f"{prefix}heavy.txt")

@@ -162,7 +162,7 @@ class TestWideRows:
                 np.full((1, dim), 1 << level),
             ]
         )
-        # sorted rows are searched column by column, others sorted first
+        # rows in order, repeated and shuffled
         for b in (cells, np.repeat(cells, 2, axis=0), rng.permutation(cells)):
             present = set(map(tuple, b.tolist()))
             got = _row_index(a, b)

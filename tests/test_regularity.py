@@ -8,7 +8,7 @@ from dyadicproj.fractals import (
     gen_degenerate,
     gen_random_tree_set,
 )
-from dyadicproj import grid
+from dyadicproj import cli, grid, regularity
 from dyadicproj.grid import GridPointSet
 from dyadicproj.content import optimal_cover
 from dyadicproj.regularity import (
@@ -178,6 +178,20 @@ class TestGreedyNet:
             dec = heavy_decompose(P, dim, C=1.0, L=4.0, tau=0.5)
             assert len(dec.good) == len(P)
             assert dec.net.cells.tolist() == [list(c) for c in greedy_net_oracle(P)]
+
+    def test_net_built_once_on_first_read(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            regularity, "_greedy_net", lambda P: built.append(P) or _greedy_net(P)
+        )
+        gen = "cantor:keep=0|3,dims=2,iters=4"
+        assert cli.main(["decompose", "--gen", gen, "--s", "1.0", "--out", str(tmp_path)]) == 0
+        assert built == []  # decompose writes no net, so it builds none
+        dec = heavy_decompose(gen_cantor_product(QUARTER_CANTOR, 4), 1.0, C=1.0)
+        assert dec.net is dec.net
+        assert len(built) == 1 and built[0] is dec.good
+        empty = heavy_decompose(GridPointSet.empty(3, 4), 1.0, C=1.0).net
+        assert (len(empty), empty.dim, empty.level) == (0, 3, 4)
 
 
 class TestFrostmanSubset:
