@@ -3,7 +3,8 @@
 Subcommands mirror the pipeline stages: generate, content, spread,
 decompose, frostman, scan, multiscan.  All randomized commands require an
 explicit --seed; reports are only overwritten with --force.  Exit codes:
-0 success, 1 usage or input error, 2 budget violation (multiscan).
+0 success, 1 usage or input error (any ValueError, reported as
+`error: ...`), 2 budget violation (multiscan).
 """
 
 from __future__ import annotations
@@ -50,12 +51,7 @@ def _load_points(input_path, gen_spec, seed) -> GridPointSet:
             return read_pointset(input_path)
         except OSError as exc:
             raise _UsageError(f"cannot read {input_path}: {exc}") from exc
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-    try:
-        return parse_generator_spec(gen_spec, seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return parse_generator_spec(gen_spec, seed)
 
 
 def _out_file(out_dir: Path, name: str, force: bool) -> Path:
@@ -295,7 +291,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except ValueError as exc:  # _UsageError, or a library check of an option value
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

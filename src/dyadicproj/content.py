@@ -11,14 +11,14 @@ multi-scale construction in `finite_strong_cover` builds on that.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._exact import ExponentContext
-from .grid import DyadicCube, GridPointSet, _row_index, _unique_rows, build_cover_tree, dilate
+from .grid import MAX_DIM, MAX_LEVEL, DyadicCube, GridPointSet, build_cover_tree, dilate
+from .grid import _format_rows, _parse_rows, _row_index, _unique_rows
 
 __all__ = [
     "DyadicCover",
@@ -49,24 +49,32 @@ class CoverMinimalityError(ValueError):
 class DyadicCover:
     """Disjoint antichain of dyadic cubes covering a point set.
 
-    `value` is sum over cubes of side^s; `level_multiplicity` counts cubes
-    per level (the representation the value is recomputed from).
+    `rows` is an (N, 1 + dim) int64 array of `level c_1 ... c_n` rows, one
+    per cube, kept read-only in (level, coords) order: the lines of the
+    cover's file.  `value` is the sum over cubes of side^s.
+    `level_multiplicity` (cubes per level, the representation the value is
+    recomputed from) and `cubes` (as DyadicCube objects) are views of it.
     """
 
-    cubes: tuple[DyadicCube, ...]
+    rows: np.ndarray
     s: float
     value: float
-    level_multiplicity: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        dims = {c.dim for c in self.cubes}
-        if len(dims) > 1:
-            raise ValueError("cover cubes differ in dimension")
-        levels = np.array([c.level for c in self.cubes], dtype=np.int64)
-        coords = np.array([c.coords for c in self.cubes], dtype=np.int64)
-        coords = coords.reshape(len(levels), max(dims, default=0))
-        if len(_unique_rows(np.column_stack([levels, coords]))[0]) != len(levels):
+        rows = np.asarray(self.rows, dtype=np.int64)
+        if rows.ndim != 2 or not 2 <= rows.shape[1] <= MAX_DIM + 1:
+            raise ValueError(
+                f"cover rows of shape {rows.shape}, not (N, 1 + dim) with dim in [1, {MAX_DIM}]"
+            )
+        n = len(rows)
+        rows = _unique_rows(rows)[0]
+        if len(rows) != n:
             raise ValueError("duplicate cube in cover")
+        levels, coords = rows[:, 0], rows[:, 1:]
+        if n and not 0 <= levels[0] <= levels[-1] <= MAX_LEVEL:
+            raise ValueError(f"cube level outside [0, {MAX_LEVEL}]")
+        if n and (coords.min() < 0 or (coords >> levels[:, None]).any()):
+            raise ValueError("cube coordinate outside [0, 2^level)")
         # every cube finer than level a, shifted to its level-a ancestor,
         # must miss the level-a cubes
         for a in np.unique(levels)[:-1].tolist():
@@ -74,10 +82,17 @@ class DyadicCover:
             ancestors = coords[finer] >> (levels[finer] - a)[:, None]
             if (_row_index(ancestors, coords[levels == a]) >= 0).any():
                 raise ValueError("cover cubes are not an antichain")
-        mult: dict[int, int] = {}
-        for c in self.cubes:
-            mult[c.level] = mult.get(c.level, 0) + 1
-        object.__setattr__(self, "level_multiplicity", mult)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def level_multiplicity(self) -> dict[int, int]:
+        levels, counts = np.unique(self.rows[:, 0], return_counts=True)
+        return dict(zip(levels.tolist(), counts.tolist()))
+
+    @property
+    def cubes(self) -> tuple[DyadicCube, ...]:
+        return tuple(DyadicCube(r[0], tuple(r[1:])) for r in self.rows.tolist())
 
 
 def _validate_exponent(P: GridPointSet, s: float) -> None:
@@ -115,10 +130,10 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
         rows[take[j], 0] = 1
 
     cubes, _ = tree.antichain(take)
-    mult = {j: n for j, n in enumerate(rows[0].tolist()) if n}
-    if Counter(c.level for c in cubes) != mult:
+    if (np.bincount(cubes[:, 0], minlength=L + 1) != rows[0]).any():
         raise AssertionError("reconstructed cover does not match DP value")
-    return DyadicCover(tuple(cubes), float(s), ctx.to_float(mult))
+    mult = {j: n for j, n in enumerate(rows[0].tolist()) if n}
+    return DyadicCover(cubes, float(s), ctx.to_float(mult))
 
 
 def delta_s_sets_from_cover(cover: DyadicCover) -> dict[int, GridPointSet]:
@@ -128,18 +143,15 @@ def delta_s_sets_from_cover(cover: DyadicCover) -> dict[int, GridPointSet]:
     the sum of side^s over cover cubes nested in Q0 must not exceed
     side(Q0)^s.  Raises CoverMinimalityError naming the offending cube.
     """
-    if not cover.cubes:
+    if not len(cover.rows):
         raise ValueError("empty cover")
     ctx = ExponentContext.create(cover.s)
-    dim = len(cover.cubes[0].coords)
-    L = max(c.level for c in cover.cubes)
-    by_level: dict[int, list] = {}
-    for c in cover.cubes:
-        by_level.setdefault(c.level, []).append(c.coords)
+    levels, coords = cover.rows[:, 0], cover.rows[:, 1:]
+    dim, L = coords.shape[1], int(levels[-1])
     # a cube enters the tree through its first level-L cell, which carries
     # the cube's level; the other tree nodes under a cube hold no weight
-    firsts = np.array([[q << (L - c.level) for q in c.coords] for c in cover.cubes])
-    home = np.array([c.level for c in cover.cubes])[np.lexsort(firsts.T[::-1])]
+    firsts = coords << (L - levels)[:, None]
+    home = levels[np.lexsort(firsts.T[::-1])]
     tree = build_cover_tree(GridPointSet(dim, L, firsts))
     anc = np.arange(home.size)  # each first cell's level-a ancestor
     rows = np.zeros((home.size, 1), dtype=np.int64)
@@ -158,25 +170,28 @@ def delta_s_sets_from_cover(cover: DyadicCover) -> dict[int, GridPointSet]:
         cube, row = offending
         terms = {cube.level + int(c): int(row[c]) for c in np.flatnonzero(row)}
         raise CoverMinimalityError(cube, ctx.to_float(terms), ctx.to_float({cube.level: 1}))
-    return {k: GridPointSet.from_cells(dim, k, cells) for k, cells in sorted(by_level.items())}
+    return _split_by_level(cover.rows)
+
+
+def _split_by_level(rows: np.ndarray) -> dict[int, GridPointSet]:
+    """The cubes of each level of `level c_1 ... c_n` rows as a point set."""
+    dim = rows.shape[1] - 1
+    levels = rows[:, 0]
+    return {j: GridPointSet(dim, j, rows[levels == j, 1:]) for j in np.unique(levels).tolist()}
 
 
 def finite_strong_cover(
-    P: GridPointSet,
-    s: float,
-    eps: float,
-    k_range: tuple[int, int],
-    enforce_window: bool = True,
+    P: GridPointSet, s: float, eps: float, k_range: tuple[int, int]
 ) -> dict[int, GridPointSet]:
     """Finite multi-scale family of center sets whose dilations cover P.
 
     For each base scale i in k_range: build the minimizing (s - eps)-cover of
     P restricted to levels >= i, split it into per-level unions of cubes,
-    re-cover each union minimally for the exponent s (coarsest level clamped
-    to floor(eps*j/s) when enforce_window is set), and pool the resulting
-    center cells by level.  Every cell of P lies under a center cell of at
-    least one returned set, and each returned set is regular with a constant
-    growing at most like (level * s / eps)^2.
+    re-cover each union minimally for the exponent s with its coarsest level
+    clamped to floor(eps*j/s) (warning where the clamp raises the value),
+    and pool the resulting center cells by level.  Every cell of P lies
+    under a center cell of at least one returned set, and each returned set
+    is regular with a constant growing at most like (level * s / eps)^2.
     """
     if len(P) == 0:
         raise ValueError("cannot cover an empty point set")
@@ -187,17 +202,13 @@ def finite_strong_cover(
     if not (1 <= k_lo <= k_hi <= P.level):
         raise ValueError(f"scale range [{k_lo}, {k_hi}] invalid for level {P.level}")
 
-    pooled: dict[int, list] = {}
+    pooled = []
     for i in range(k_lo, k_hi + 1):
         base = optimal_cover(P, s - eps, j_min=i)
-        by_level: dict[int, list] = {}
-        for c in base.cubes:
-            by_level.setdefault(c.level, []).append(c.coords)
-        for j, coords in sorted(by_level.items()):
-            X = GridPointSet.from_cells(P.dim, j, coords)
-            clamp = int(np.floor(eps * j / s)) if enforce_window else 0
+        for j, X in _split_by_level(base.rows).items():
+            clamp = int(np.floor(eps * j / s))
             refined = optimal_cover(X, s, j_min=clamp)
-            if enforce_window and clamp > 0:
+            if clamp > 0:
                 unclamped = optimal_cover(X, s, j_min=0)
                 if unclamped.value < refined.value * (1 - 1e-12):
                     warnings.warn(
@@ -205,9 +216,8 @@ def finite_strong_cover(
                         f"value for block scale i={i}, j={j}",
                         stacklevel=2,
                     )
-            for q in refined.cubes:
-                pooled.setdefault(q.level, []).append(q.coords)
-    return {k: GridPointSet.from_cells(P.dim, k, cells) for k, cells in sorted(pooled.items())}
+            pooled.append(refined.rows)
+    return _split_by_level(np.concatenate(pooled))
 
 
 def strong_cover_misses(
@@ -223,31 +233,25 @@ def strong_cover_misses(
 
 # --- cover text format ------------------------------------------------------
 #
-# One line `level c_1 ... c_n` per cube (level-major, lexicographic), then a
-# footer `value <decimal>`.  A decomposition's heavy-cube list has it too.
+# One line `level c_1 ... c_n` per cube, the cover's rows in (level, coords)
+# order, then a footer `value <decimal>`.  A decomposition's heavy-cube
+# list has it too.
 
 
-def _write_cubes(cubes: tuple[DyadicCube, ...], value: float, path) -> None:
-    """Write cubes and a footer value in the cover text format."""
-    lines = [
-        f"{c.level} " + " ".join(str(q) for q in c.coords)
-        for c in sorted(cubes, key=lambda c: (c.level, c.coords))
-    ]
-    lines.append(f"value {value:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_cubes(rows: np.ndarray, value: float, path) -> None:
+    """Write `level c_1 ... c_n` rows and a footer value in the cover text format."""
+    Path(path).write_text(_format_rows(rows) + f"value {value:.17g}\n")
 
 
 def write_cover(cover: DyadicCover, path) -> None:
-    _write_cubes(cover.cubes, cover.value, path)
+    _write_cubes(cover.rows, cover.value, path)
 
 
 def read_cover(path, s: float) -> DyadicCover:
-    rows = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not rows or not rows[-1].startswith("value "):
+    lines = list(filter(str.strip, Path(path).read_text().splitlines()))
+    if not lines or not lines[-1].startswith("value "):
         raise ValueError(f"{path}: missing value footer")
-    value = float(rows[-1].split()[1])
-    cubes = []
-    for ln in rows[:-1]:
-        parts = [int(x) for x in ln.split()]
-        cubes.append(DyadicCube(parts[0], tuple(parts[1:])))
-    return DyadicCover(tuple(cubes), s, value)
+    value = float(lines[-1].split()[1])
+    width = len(lines[0].split())
+    rows = _parse_rows(path, lines[:-1], width, f"a level and {width - 1} coordinates")
+    return DyadicCover(rows, s, value)

@@ -10,7 +10,10 @@ Cell rows are kept in lexicographic order.  One primitive, `_unique_rows`
 comparison of adjacent rows), does every dedup, grouping, membership test
 and row lookup on them (`_row_index` groups the rows sought together with
 the rows searched), at any width: one fused int64 key would not fit
-dim * level.
+dim * level.  A list of dyadic cubes is the same kind of array, one
+`level c_1 ... c_n` row per cube (`CoverTree.antichain` returns one), and
+every such array is written by one row formatter, `_format_rows`, and read
+by one row parser, `_parse_rows`.
 """
 
 from __future__ import annotations
@@ -220,19 +223,23 @@ class CoverTree:
         np.add.at(sums, self.parents[j + 1], values)
         return sums
 
-    def antichain(self, marks: list[np.ndarray]) -> tuple[list[DyadicCube], np.ndarray]:
-        """The marked nodes with no marked strict ancestor, in (level, coords)
-        order, and the mask of the leaves under them; `marks[j]` is a bool
-        mask over `levels[j]`, one per level."""
-        cubes: list[DyadicCube] = []
+    def antichain(self, marks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The marked nodes with no marked strict ancestor, as read-only
+        `level c_1 ... c_n` rows in (level, coords) order, and the mask of
+        the leaves under them; `marks[j]` is a bool mask over `levels[j]`,
+        one per level."""
+        tops = []
         under = np.zeros(self.levels[0].shape[0], dtype=bool)
         for j, mark in enumerate(marks):
             if j:
                 under = under[self.parents[j]]
             top = mark & ~under
-            cubes.extend(DyadicCube(j, tuple(c)) for c in self.levels[j][top].tolist())
+            tops.append(self.levels[j][top])
             under |= top
-        return cubes, under
+        level = np.repeat(np.arange(len(tops), dtype=np.int64), [len(t) for t in tops])
+        rows = np.column_stack([level, np.concatenate(tops)])
+        rows.setflags(write=False)
+        return rows, under
 
 
 def _build_tree(P: GridPointSet) -> CoverTree:
@@ -311,67 +318,51 @@ def coarsen(P: GridPointSet, level: int) -> GridPointSet:
     return Q
 
 
-# --- point-set text format ------------------------------------------------
+# --- row text format -------------------------------------------------------
 #
-# Header `n k count`, then `count` lines of n space-separated integers in
-# lexicographic order.  Duplicate rows are rejected on read.
+# A point-set file is a header `n k count`, then `count` lines of n
+# space-separated integers in lexicographic order; duplicate rows are
+# rejected on read.  A cube list (content.py) is one `level c_1 ... c_n`
+# line per cube, the same kind of row.  Both are written by `_format_rows`
+# and read by `_parse_rows`.
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    """One line of space-separated integers per row of an integer array."""
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _parse_rows(path, lines: list[str], width: int, what: str) -> np.ndarray:
+    """The (len(lines), width) int64 array of lines of `width` integer tokens
+    each (whatever str.split and int accept); a line with another token
+    count is named in a ValueError saying that it does not have `what`."""
+    tokens: list[str] = []
+    for ln in lines:
+        row = ln.split()
+        if len(row) != width:
+            raise ValueError(f"{path}: row {ln!r} does not have {what}")
+        tokens += row
+    return np.array(tokens, dtype=np.int64).reshape(len(lines), width)
 
 
 def write_pointset(P: GridPointSet, path) -> None:
-    row = " ".join(["%d"] * P.dim)
-    fmt = "\n".join([f"{P.dim} {P.level} {len(P)}"] + [row] * len(P)) + "\n"
-    Path(path).write_text(fmt % tuple(P.cells.ravel().tolist()))
-
-
-# every code point str.split() separates tokens at is below U+3001
-_SPACE = np.zeros(0x3002, dtype=bool)
-_SPACE[[c for c in range(0x3001) if chr(c).isspace()]] = True
-
-
-def _parse_rows(rows: list[str], dim: int) -> np.ndarray | None:
-    """The (len(rows), dim) int64 array of non-blank lines of `dim` integer
-    tokens each, parsed in bulk; None when a line has another token count."""
-    body = "\n".join(rows)  # splitlines left no line break inside a row
-    chars = np.frombuffer(body.encode("utf-32-le"), dtype=np.uint32)
-    space = _SPACE[np.minimum(chars, len(_SPACE) - 1)]
-    start = ~space
-    start[1:] &= space[:-1]
-    stop = ~space
-    stop[:-1] &= space[1:]
-    start, stop = np.flatnonzero(start), np.flatnonzero(stop) + 1
-    # with len(rows) * dim tokens in all, row k holds tokens k*dim .. k*dim+dim-1
-    # iff each row's first token follows the newline before it and each
-    # row's last token precedes the newline after it
-    newline = np.flatnonzero(chars == 10)
-    if (
-        len(start) != len(rows) * dim
-        or (start[dim::dim] < newline).any()
-        or (stop[dim - 1 :: dim][:-1] > newline).any()
-    ):
-        return None
-    return np.array(body.split(), dtype=np.int64).reshape(len(rows), dim)
+    Path(path).write_text(f"{P.dim} {P.level} {len(P)}\n" + _format_rows(P.cells))
 
 
 def read_pointset(path) -> GridPointSet:
-    text = Path(path).read_text()
-    rows = list(filter(str.strip, text.splitlines()))
-    if not rows:
+    lines = list(filter(str.strip, Path(path).read_text().splitlines()))
+    if not lines:
         raise ValueError(f"{path}: empty point-set file")
-    head = rows[0].split()
+    head = lines[0].split()
     if len(head) != 3:
-        raise ValueError(f"{path}: malformed header {rows[0]!r}")
+        raise ValueError(f"{path}: malformed header {lines[0]!r}")
     dim, level, count = (int(x) for x in head)
-    if len(rows) - 1 != count:
-        raise ValueError(f"{path}: header promises {count} rows, found {len(rows) - 1}")
-    cells = np.empty(0, dtype=np.int64)
-    if count:
-        cells = _parse_rows(rows[1:], dim)
-        if cells is None:
-            ragged = next(ln for ln in rows[1:] if len(ln.split()) != dim)
-            raise ValueError(f"{path}: row {ragged!r} does not have {dim} coordinates")
-        cells, inverse = _unique_rows(cells)
-        if len(cells) < count:
-            _, first = np.unique(inverse, return_index=True)
-            repeat = np.setdiff1d(np.arange(count), first)[0]
-            raise ValueError(f"{path}: duplicate row {rows[1 + repeat]!r}")
+    if len(lines) - 1 != count:
+        raise ValueError(f"{path}: header promises {count} rows, found {len(lines) - 1}")
+    cells, inverse = _unique_rows(_parse_rows(path, lines[1:], dim, f"{dim} coordinates"))
+    if len(cells) < count:
+        _, first = np.unique(inverse, return_index=True)
+        repeat = np.setdiff1d(np.arange(count), first)[0]
+        raise ValueError(f"{path}: duplicate row {lines[1 + repeat]!r}")
     return GridPointSet(dim, level, cells)

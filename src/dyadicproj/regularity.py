@@ -20,7 +20,7 @@ import numpy as np
 
 from ._exact import _iroot, snap_exponent
 from .content import _validate_exponent, _write_cubes, optimal_cover
-from .grid import DyadicCube, GridPointSet, _row_index, build_cover_tree, write_pointset
+from .grid import GridPointSet, _row_index, build_cover_tree, write_pointset
 
 __all__ = [
     "Decomposition",
@@ -56,11 +56,14 @@ class Decomposition:
 
     Every bad cell lies under a cube of `maximal_heavy` (an antichain of
     heavy cubes with no heavy strict ancestor); no good cell does.
+    `maximal_heavy` is a read-only (N, 1 + dim) int64 array of
+    `level c_1 ... c_n` rows in (level, coords) order, as `DyadicCover.rows`
+    is: the lines of the heavy-cube file.
     """
 
     good: GridPointSet
     bad: GridPointSet
-    maximal_heavy: tuple[DyadicCube, ...]
+    maximal_heavy: np.ndarray
     params: tuple[float, float, float, float]  # (s, C, L, tau)
 
     @property
@@ -77,7 +80,7 @@ class Decomposition:
     def heavy_weight(self) -> float:
         """Sum of side^s over the maximal heavy cubes."""
         s = self.params[0]
-        return float(sum(2.0 ** (-q.level * s) for q in self.maximal_heavy))
+        return float(sum(2.0 ** (-j * s) for j in self.maximal_heavy[:, 0].tolist()))
 
     @property
     def weight_budget(self) -> float:
@@ -113,8 +116,7 @@ def heavy_decompose(
 
     The net, built on its first read, keeps a greedy maximal subset of the
     good cells pairwise at least two cells apart (one full cell of gap), so
-    every good cell lies within one cell of the net.  `maximal_heavy` is in
-    (level, coords) order.
+    every good cell lies within one cell of the net.
     """
     _validate_exponent(P, s)
     if tau is None:
@@ -127,7 +129,8 @@ def heavy_decompose(
         raise ValueError(f"L={L} must be >= 1")
     if len(P) == 0:
         empty = GridPointSet.empty(P.dim, P.level)
-        return Decomposition(empty, empty, (), (s, C, L, tau))
+        no_cubes = np.empty((0, 1 + P.dim), dtype=np.int64)
+        return Decomposition(empty, empty, no_cubes, (s, C, L, tau))
     if len(P) > C * 2.0 ** (P.level * s) * (1 + 1e-9):
         warnings.warn(
             f"cell count {len(P)} exceeds C*delta^-s = {C * 2.0 ** (P.level * s):.6g}; "
@@ -145,7 +148,7 @@ def heavy_decompose(
     # the leaf level is P.cells in order
     bad = GridPointSet(P.dim, P.level, P.cells[under])
     good = GridPointSet(P.dim, P.level, P.cells[~under])
-    return Decomposition(good, bad, tuple(maximal), (s, float(C), float(L), float(tau)))
+    return Decomposition(good, bad, maximal, (s, float(C), float(L), float(tau)))
 
 
 def _greedy_net(P: GridPointSet) -> GridPointSet:

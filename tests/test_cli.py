@@ -10,7 +10,7 @@ import pytest
 import dyadicproj
 from dyadicproj import grid, kernels
 from dyadicproj.cli import main
-from dyadicproj.grid import read_pointset
+from dyadicproj.grid import DyadicCube, read_pointset
 
 
 def run(args):
@@ -72,6 +72,22 @@ class TestContentSpreadFrostman:
     def test_unreadable_input(self, tmp_path, capsys):
         assert run(["content", "--input", tmp_path / "nope.txt", "--s", 1.0]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestNoCubeObjects:
+    def test_command_paths_build_no_dyadic_cube(self, tmp_path, monkeypatch):
+        built, check = [], DyadicCube.__post_init__
+        monkeypatch.setattr(DyadicCube, "__post_init__", lambda c: built.append(c) or check(c))
+        gen = ["--gen", "random:n=2,s=1.5,level=7", "--seed", 3, "--s", 1.5]
+        assert run(["content", *gen, "--out", tmp_path / "c"]) == 0
+        assert run(["decompose", *gen, "--tau", 0.05, "--big-l", 2, "--out", tmp_path / "d"]) == 0
+        assert run(
+            ["multiscan", *gen, "--eps", 0.1, "--samples", 5, "--level-min", 3,
+             "--level-max", 7, "--out", tmp_path / "m"]
+        ) == 0
+        # decompose found heavy cubes: its list holds more than the footer
+        assert len((tmp_path / "d" / "heavy.txt").read_text().splitlines()) > 1
+        assert built == []
 
 
 class TestDecompose:
@@ -159,6 +175,23 @@ class TestMultiscan:
         assert [(P.level, len(P)) for P in built[:1]] == [(8, cells)]
         assert [P.level for P in built[1:]] == scanned
 
+    def test_empty_nets_scan_nothing(self, tmp_path):
+        # at s = 1 the level-1 cube holding every cell is heavy at each
+        # scale, so each good part, and its net, is empty
+        assert run(
+            ["multiscan", "--gen", "point:n=2,level=5", "--s", 1.0, "--eps", 0.1,
+             "--samples", 5, "--seed", 1, "--level-min", 1, "--level-max", 5,
+             "--out", tmp_path]
+        ) == 0
+        header, *rows = (tmp_path / "summary.csv").read_text().splitlines()
+        col = {name: i for i, name in enumerate(header.split(","))}
+        assert len(rows) == 5
+        for row in (r.split(",") for r in rows):
+            assert row[col["good"]] == "0"
+            for name in ("bad_fraction", "mean_energy", "energy_bound"):
+                assert float(row[col[name]]) == 0.0
+        assert not list(tmp_path.glob("scale*_scan.txt"))
+
     def test_line_with_tight_budget_violates(self, tmp_path, capsys):
         code = run(
             ["multiscan", "--gen", "line:n=2,level=6", "--s", 1.0, "--eps", 0.1,
@@ -186,6 +219,21 @@ class TestMultiscan:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--s", 1.0, "--tau", 0],
+            ["decompose", "--s", 1.0, "--big-l", 0.5],
+            ["content", "--s", 5],
+            ["scan", "--seed", 1, "--s", 1.0, "--eps", 5, "--samples", 4],
+            ["scan", "--seed", 1, "--s", 1.0, "--eps", 0.1, "--samples", 4, "--m", 2],
+            ["scan", "--seed", 1, "--s", 1.0, "--eps", 0.1, "--samples", -1],
+        ],
+    )
+    def test_invalid_option_value_is_an_error_line(self, tmp_path, capsys, argv):
+        assert run(argv + ["--gen", CANTOR2, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["scan", "--nope"]) == 1
 

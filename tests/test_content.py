@@ -163,7 +163,7 @@ class TestOptimalCover:
 
 
 def _cover(*cubes):
-    return DyadicCover(tuple(DyadicCube(j, c) for j, c in cubes), 1.0, 0.0)
+    return DyadicCover([(j, *c) for j, c in cubes] or np.empty((0, 3)), 1.0, 0.0)
 
 
 class TestDyadicCoverAntichain:
@@ -213,8 +213,7 @@ class TestDeltaSSets:
 
     def test_non_minimal_cover_rejected(self):
         # four leaf cubes under one level-1 cube: weight 4 * 2^-1 > 2^-0.5
-        cubes = tuple(DyadicCube(2, (i,)) for i in range(4))
-        bad = DyadicCover(cubes, 0.5, 4 * 0.5)
+        bad = DyadicCover([(2, i) for i in range(4)], 0.5, 4 * 0.5)
         with pytest.raises(CoverMinimalityError) as err:
             delta_s_sets_from_cover(bad)
         assert err.value.cube.level in (0, 1)
@@ -223,7 +222,7 @@ class TestDeltaSSets:
         # three level-2 cells under each of (0, 1) and (1, 0): 3 * 2^-3 >
         # 2^-1.5 there, while the root holds 0.75 <= 1
         cells = [(0, 2), (0, 3), (1, 2), (2, 0), (3, 0), (2, 1)]
-        bad = DyadicCover(tuple(DyadicCube(2, c) for c in cells), 1.5, 0.75)
+        bad = DyadicCover([(2, *c) for c in cells], 1.5, 0.75)
         with pytest.raises(CoverMinimalityError) as err:
             delta_s_sets_from_cover(bad)
         assert err.value.cube == DyadicCube(1, (0, 1))

@@ -42,6 +42,20 @@ def test_compare_matches_floats_when_separated(s):
             assert ctx.compare(a, b) == (1 if va > vb else -1)
 
 
+def test_exact_compare_refines_past_64_bits(monkeypatch):
+    # a Pell pair x^2 - 2y^2 = +-1 with y > 2^70 puts y and x * 2^(-1/2)
+    # closer than 64-bit bounds on 2^(-1/2) can separate
+    x, y = 1, 1
+    while y <= 1 << 70:
+        x, y = x + 2 * y, x + y
+    roots, iroot = [], _exact._iroot
+    monkeypatch.setattr(_exact, "_iroot", lambda v, q: roots.append(v) or iroot(v, q))
+    ctx = ExponentContext.create(0.5)
+    assert ctx.compare({0: y}, {1: x}) == (1 if 2 * y * y > x * x else -1)
+    assert len(roots) > 2  # one root per residue per pass: the 64-bit pass did not decide
+    assert ctx.compare({1: x}, {0: y}) == (1 if x * x > 2 * y * y else -1)
+
+
 def test_float_fallback_for_unsnappable_exponent():
     ctx = ExponentContext.create(0.6180339887)
     assert ctx.frac is None

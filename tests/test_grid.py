@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from dyadicproj import grid
 from dyadicproj.grid import (
     DyadicCube,
     GridPointSet,
-    _SPACE,
     _row_index,
     _unique_rows,
     build_cover_tree,
@@ -333,8 +330,6 @@ class TestPointsetFormat:
         path = tmp_path / "points.txt"
         path.write_text("2 2 3\n0\xa01\n+3\u30002\n\x1f1 0001\n")
         assert read_pointset(path).cells.tolist() == [[0, 1], [1, 1], [3, 2]]
-        spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
-        assert np.flatnonzero(_SPACE).tolist() == spaces
 
     def test_long_tokens(self, tmp_path):
         path = tmp_path / "points.txt"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from dyadicproj.fractals import (
     gen_random_tree_set,
 )
 from dyadicproj import cli, grid, regularity
+from dyadicproj._exact import snap_exponent
 from dyadicproj.grid import GridPointSet
 from dyadicproj.content import optimal_cover
 from dyadicproj.regularity import (
@@ -96,7 +99,7 @@ class TestHeavyDecompose:
             P = gen_random_tree_set(2, 1.2, 8, seed=seed)
             C = len(P) * 2.0 ** (-8 * 1.2)
             dec = heavy_decompose(P, 1.2, C, L=32.0, tau=1 / 16)
-            keys = [(q.level, q.coords) for q in dec.maximal_heavy]
+            keys = dec.maximal_heavy.tolist()
             assert keys == sorted(keys)
             if len(dec.good) == 0:
                 continue
@@ -240,6 +243,19 @@ class TestFrostmanSubset:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             frostman_subset(GridPointSet.empty(1, 3), 0.5)
+
+    def test_unsnapped_exponent_matches_oracle(self):
+        # no p/q with q <= 64 is within the snap tolerance of log2(3), so
+        # the caps are float ceilings
+        s = math.log2(3)
+        assert snap_exponent(s) is None
+        binding = 0
+        for seed in range(5):
+            P = gen_random_tree_set(2, 1.5, 7, seed=seed)
+            S = frostman_subset(P, s)
+            assert S.cells.tolist() == [list(c) for c in sorted(frostman_oracle(P, s))]
+            binding += len(S) < len(P)
+        assert binding
 
     def test_cap_beyond_int64(self, rng):
         # ceil(2^(20 * 3.5)) at the root does not fit in int64
