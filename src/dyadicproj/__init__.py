@@ -17,7 +17,6 @@ from .fractals import (
     gen_cantor_product,
     gen_degenerate,
     gen_random_tree_set,
-    ingest_point_cloud,
     parse_generator_spec,
 )
 from .grid import (
@@ -27,7 +26,6 @@ from .grid import (
     build_cover_tree,
     coarsen,
     covering_number,
-    dilate,
     read_pointset,
     write_pointset,
 )

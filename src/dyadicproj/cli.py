@@ -232,7 +232,6 @@ def _cmd_multiscan(args) -> int:
         if len(dec.net):
             report = direction_scan(
                 dec.net,
-                delta=delta,
                 s=args.s,
                 eps=args.eps,
                 num_samples=args.samples,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import ExponentContext
-from .grid import MAX_DIM, MAX_LEVEL, DyadicCube, GridPointSet, build_cover_tree, dilate
+from .grid import MAX_DIM, MAX_LEVEL, DyadicCube, GridPointSet, build_cover_tree
 from .grid import _format_rows, _parse_rows, _row_index, _unique_rows
 
 __all__ = [
@@ -84,6 +84,14 @@ class DyadicCover:
                 raise ValueError("cover cubes are not an antichain")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other) -> bool:
+        """By value; the generated `==` cannot compare the rows array."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.value) == (other.s, other.value) and np.array_equal(
+            self.rows, other.rows
+        )
 
     @property
     def level_multiplicity(self) -> dict[int, int]:
@@ -183,7 +191,7 @@ def _split_by_level(rows: np.ndarray) -> dict[int, GridPointSet]:
 def finite_strong_cover(
     P: GridPointSet, s: float, eps: float, k_range: tuple[int, int]
 ) -> dict[int, GridPointSet]:
-    """Finite multi-scale family of center sets whose dilations cover P.
+    """Finite multi-scale family of center sets whose cells cover P.
 
     For each base scale i in k_range: build the minimizing (s - eps)-cover of
     P restricted to levels >= i, split it into per-level unions of cubes,
@@ -220,14 +228,11 @@ def finite_strong_cover(
     return _split_by_level(np.concatenate(pooled))
 
 
-def strong_cover_misses(
-    P: GridPointSet, family: dict[int, GridPointSet], radius: int = 0
-) -> int:
-    """Number of cells of P not hit by the radius-dilated family at any level."""
+def strong_cover_misses(P: GridPointSet, family: dict[int, GridPointSet]) -> int:
+    """Number of cells of P under no cell of the family at any level."""
     covered = np.zeros(len(P), dtype=bool)
     for k, Pk in family.items():
-        target = dilate(Pk, radius)
-        covered |= _row_index(P.cells >> (P.level - k), target.cells) >= 0
+        covered |= _row_index(P.cells >> (P.level - k), Pk.cells) >= 0
     return int((~covered).sum())
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "gen_cantor_product",
     "gen_random_tree_set",
     "gen_degenerate",
-    "ingest_point_cloud",
     "parse_generator_spec",
 ]
 
@@ -145,27 +144,6 @@ def gen_degenerate(kind: str, **params) -> GridPointSet:
         coords = tuple(params.get("coords", (0,) * n))
         return GridPointSet.from_cells(n, level, [coords])
     raise ValueError(f"unknown degenerate kind {kind!r}")
-
-
-def ingest_point_cloud(points: np.ndarray, level: int) -> GridPointSet:
-    """Rescale an arbitrary float point cloud into [0,1)^n and snap to cells.
-
-    A single uniform affine map (min corner to origin, largest extent to
-    just under 1) is applied to every coordinate, so shapes are preserved.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a non-empty (N, n) array")
-    n = pts.shape[1]
-    lo = pts.min(axis=0)
-    extent = float((pts - lo).max())
-    if extent == 0.0:
-        scaled = np.zeros_like(pts)
-    else:
-        scaled = (pts - lo) / (extent * (1.0 + 1e-9))
-    cells = np.floor(scaled * (1 << level)).astype(np.int64)
-    cells = np.clip(cells, 0, (1 << level) - 1)
-    return GridPointSet(n, level, cells)
 
 
 def parse_generator_spec(spec: str, seed: int | None = None) -> GridPointSet:

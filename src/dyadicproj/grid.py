@@ -36,7 +36,6 @@ __all__ = [
     "CoverTree",
     "build_cover_tree",
     "covering_number",
-    "dilate",
     "coarsen",
     "read_pointset",
     "write_pointset",
@@ -59,14 +58,6 @@ class DyadicCube:
         for c in self.coords:
             if not 0 <= c < hi:
                 raise ValueError(f"coordinate {c} outside [0, {hi}) at level {self.level}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** -self.level
 
 
 def _rows_sorted(rows: np.ndarray) -> bool:
@@ -151,6 +142,14 @@ class GridPointSet:
     def __len__(self) -> int:
         return self.cells.shape[0]
 
+    def __eq__(self, other) -> bool:
+        """By value; the generated `==` cannot compare the cells array."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.level) == (other.dim, other.level) and np.array_equal(
+            self.cells, other.cells
+        )
+
     @property
     def delta(self) -> float:
         """Cell side 2^-level."""
@@ -177,12 +176,6 @@ class GridPointSet:
         if (other.dim, other.level) != (self.dim, self.level):
             raise ValueError("union requires matching dim and level")
         return GridPointSet(self.dim, self.level, np.concatenate([self.cells, other.cells]))
-
-    def difference(self, other: "GridPointSet") -> "GridPointSet":
-        if (other.dim, other.level) != (self.dim, self.level):
-            raise ValueError("difference requires matching dim and level")
-        absent = _row_index(self.cells, other.cells) < 0
-        return GridPointSet(self.dim, self.level, self.cells[absent])
 
     def issubset(self, other: "GridPointSet") -> bool:
         return (self.dim, self.level) == (other.dim, other.level) and bool(
@@ -272,35 +265,6 @@ def covering_number(P: GridPointSet, j: int) -> int:
     return len(build_cover_tree(P).levels[j]) if len(P) else 0
 
 
-_CHUNK_ROWS = 1 << 18
-
-
-def dilate(P: GridPointSet, r: int) -> GridPointSet:
-    """Cells within Chebyshev distance r (in cells) of some cell of P.
-
-    Cells falling outside [0, 2^level)^dim are dropped: the ambient domain
-    is the unit cube.
-    """
-    if r < 0:
-        raise ValueError("dilation radius must be >= 0")
-    if r == 0 or len(P) == 0:
-        return P
-    w = 2 * r + 1
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(-r, r + 1, dtype=np.int64)] * P.dim), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, P.dim)
-    hi = 1 << P.level
-    chunk = max(1, _CHUNK_ROWS // (w ** P.dim))
-    pieces = []
-    for start in range(0, len(P), chunk):
-        block = P.cells[start : start + chunk]
-        out = (block[:, None, :] + offsets[None, :, :]).reshape(-1, P.dim)
-        ok = ((out >= 0) & (out < hi)).all(axis=1)
-        pieces.append(_unique_rows(out[ok])[0])
-    return GridPointSet(P.dim, P.level, np.concatenate(pieces))
-
-
 def coarsen(P: GridPointSet, level: int) -> GridPointSet:
     """Project P to a coarser grid: the occupied level-`level` cells.
 
@@ -360,9 +324,10 @@ def read_pointset(path) -> GridPointSet:
     dim, level, count = (int(x) for x in head)
     if len(lines) - 1 != count:
         raise ValueError(f"{path}: header promises {count} rows, found {len(lines) - 1}")
-    cells, inverse = _unique_rows(_parse_rows(path, lines[1:], dim, f"{dim} coordinates"))
-    if len(cells) < count:
-        _, first = np.unique(inverse, return_index=True)
+    rows = _parse_rows(path, lines[1:], dim, f"{dim} coordinates")
+    P = GridPointSet(dim, level, rows)
+    if len(P) < count:
+        _, first = np.unique(_unique_rows(rows)[1], return_index=True)
         repeat = np.setdiff1d(np.arange(count), first)[0]
         raise ValueError(f"{path}: duplicate row {lines[1 + repeat]!r}")
-    return GridPointSet(dim, level, cells)
+    return P

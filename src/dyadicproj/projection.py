@@ -265,8 +265,6 @@ class ScanReport:
     num_samples: int
     master_seed: int
     kappa: int
-    threshold_slack: float
-    dim_slack: float
     per_direction: tuple[DirectionRecord, ...]
     bad_fraction: float
     budget: float
@@ -286,33 +284,27 @@ def _derived_seed(master_seed: int, index: int) -> tuple[np.random.SeedSequence,
 
 def direction_scan(
     P: GridPointSet,
-    delta: float | None = None,
     s: float = 1.0,
     eps: float = 0.1,
     num_samples: int = 0,
     master_seed: int = 0,
     m: int = 1,
-    kappa: int | None = None,
     workers: int = 1,
 ) -> ScanReport:
     """Sample Haar planes, classify each, and compare with the eps-budget.
 
-    Direction i draws from a stream derived from (master_seed, i), so the
-    report is identical for any worker count.  The mean sampled energy is
-    reported next to its geometric ceiling dim_slack * (delta^m * riesz + |P|),
-    with dim_slack = 2^n; the report's threshold_slack is always 1.
+    The scan works at P's own scale delta = 2^-P.level, and each direction's
+    min_cover counts the bins holding kappa = ceil(delta^(-s+eps)) points,
+    capped at |P|: the subset size the classification speaks about.  Direction
+    i draws from a stream derived from (master_seed, i), so the report is
+    identical for any worker count.  The mean sampled energy is reported
+    next to its geometric ceiling 2^n * (delta^m * riesz + |P|).
     """
     if num_samples < 0:
         raise ValueError("num_samples must be >= 0")
-    if delta is None:
-        delta = P.delta
-    dim_slack = float(2**P.dim)
+    delta = P.delta
     n_pts = len(P)
-    if kappa is None:
-        kappa = max(1, min(n_pts, math.ceil(delta ** (-s + eps) - 1e-12)))
-    # an empty set is refused by classify_direction
-    if num_samples and n_pts and not 1 <= kappa <= n_pts:
-        raise ValueError(f"kappa={kappa} outside [1, {n_pts}]")
+    kappa = max(1, min(n_pts, math.ceil(delta ** (-s + eps) - 1e-12)))
 
     def one(index: int) -> DirectionRecord:
         ss, seed = _derived_seed(master_seed, index)
@@ -336,20 +328,18 @@ def direction_scan(
     bad_fraction = n_bad / num_samples if num_samples else 0.0
     mean_energy = sum(r.energy for r in records) / num_samples if num_samples else 0.0
     if n_pts >= 2:
-        energy_bound = dim_slack * (delta**m * riesz_sum(P, m).value + n_pts)
+        energy_bound = 2.0**P.dim * (delta**m * riesz_sum(P, m).value + n_pts)
     else:
-        energy_bound = dim_slack * n_pts
+        energy_bound = 2.0**P.dim * n_pts
     return ScanReport(
         n=P.dim,
         m=m,
-        delta=float(delta),
+        delta=delta,
         s=float(s),
         eps=float(eps),
         num_samples=num_samples,
         master_seed=int(master_seed),
-        kappa=int(kappa),
-        threshold_slack=1.0,
-        dim_slack=dim_slack,
+        kappa=kappa,
         per_direction=tuple(records),
         bad_fraction=bad_fraction,
         budget=float(delta**eps),
@@ -408,8 +398,9 @@ def write_scan_report(report: ScanReport, path) -> None:
         f"num_samples {report.num_samples}",
         f"master_seed {report.master_seed}",
         f"kappa {report.kappa}",
-        f"threshold_slack {report.threshold_slack:.17g}",
-        f"dim_slack {report.dim_slack:.17g}",
+        # constant in every v1 report
+        "threshold_slack 1",
+        f"dim_slack {2**report.n}",
         f"budget_gt_half {int(report.budget_gt_half)}",
     ]
     for r in report.per_direction:

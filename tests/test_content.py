@@ -152,6 +152,14 @@ class TestOptimalCover:
             assert optimal_cover(P, 0.5).value <= optimal_cover(Q, 0.5).value + 1e-12
             assert optimal_cover(P, 0.8).value <= optimal_cover(P, 0.4).value + 1e-12
 
+    def test_equal_sets_give_equal_covers(self):
+        a = GridPointSet.from_cells(2, 3, [(6, 6), (0, 1), (6, 6)])
+        b = GridPointSet.from_cells(2, 3, [(0, 1), (6, 6)])
+        assert optimal_cover(a, 0.5) == optimal_cover(b, 0.5)
+        assert optimal_cover(a, 0.5) != optimal_cover(b, 0.75)
+        c = GridPointSet.from_cells(2, 3, [(0, 1), (6, 7)])
+        assert optimal_cover(a, 0.5) != optimal_cover(c, 0.5)
+
     def test_invalid_arguments(self):
         P = GridPointSet.from_cells(1, 2, [(0,)])
         with pytest.raises(ValueError):
@@ -235,12 +243,12 @@ class TestFiniteStrongCover:
         fam = finite_strong_cover(P, 0.6, 0.1, (2, 4))
         for Pk in fam.values():
             assert len(Pk) == 1
-        assert strong_cover_misses(P, fam, 0) == 0
+        assert strong_cover_misses(P, fam) == 0
 
     def test_cantor_family_regularity(self):
         P = gen_cantor_product(QUARTER_CANTOR, 3)
         fam = finite_strong_cover(P, 0.6, 0.1, (2, 6))
-        assert strong_cover_misses(P, fam, 0) == 0
+        assert strong_cover_misses(P, fam) == 0
         for k, Pk in fam.items():
             budget = 2.0 * max(1, k) ** 2 * (0.6 / 0.1) ** 2
             assert minimal_spread_constant(Pk, 0.6) <= budget
@@ -250,7 +258,7 @@ class TestFiniteStrongCover:
         extra = random_subset(rng, 1, 6)
         P = cantor.union(extra)
         fam = finite_strong_cover(P, 0.6, 0.1, (2, 6))
-        assert strong_cover_misses(P, fam, 0) == 0
+        assert strong_cover_misses(P, fam) == 0
 
     def test_validation(self):
         P = GridPointSet.from_cells(1, 4, [(0,)])

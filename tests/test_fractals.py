@@ -8,7 +8,6 @@ from dyadicproj.fractals import (
     gen_cantor_product,
     gen_degenerate,
     gen_random_tree_set,
-    ingest_point_cloud,
     parse_generator_spec,
 )
 from dyadicproj.regularity import minimal_spread_constant
@@ -114,24 +113,6 @@ class TestDegenerate:
             gen_degenerate("blob", n=1, level=2)
         with pytest.raises(ValueError):
             gen_degenerate("line", n=2, level=2, fixed=(0, 0))
-
-
-class TestIngest:
-    def test_rescaled_into_unit_cube(self):
-        pts = np.array([[10.0, -3.0], [12.0, -1.0], [11.0, -2.0]])
-        P = ingest_point_cloud(pts, level=4)
-        assert P.dim == 2 and P.level == 4
-        assert len(P) == 3
-
-    def test_single_point(self):
-        P = ingest_point_cloud(np.array([[5.0, 5.0]]), level=3)
-        assert P.cells.tolist() == [[0, 0]]
-
-    def test_preserves_shape(self):
-        # two clusters far apart stay in opposite corners
-        pts = np.vstack([np.zeros((5, 2)), np.full((5, 2), 100.0)])
-        P = ingest_point_cloud(pts, level=2)
-        assert {tuple(c) for c in P.cells.tolist()} == {(0, 0), (3, 3)}
 
 
 class TestGeneratorSpec:

@@ -317,8 +317,8 @@ class TestBinProfile:
     @pytest.mark.parametrize("m", [1, 2])
     def test_scan_records_match_oracles(self, m):
         P = gen_random_tree_set(m + 1, 1.6, 4, seed=5)
-        delta = P.delta / 2
-        rep = direction_scan(P, delta, s=1.0, eps=0.1, num_samples=12, master_seed=4, m=m)
+        delta = P.delta
+        rep = direction_scan(P, s=1.0, eps=0.1, num_samples=12, master_seed=4, m=m)
         for r in rep.per_direction:
             coords = project_points(Plane(m + 1, m, r.frame), P)
             assert r.n_boundary == near_boundary_oracle(coords, delta)
@@ -385,13 +385,6 @@ class TestDirectionScan:
                 texts.add((tmp_path / f"m{m}-{name}.txt").read_text())
             assert len(texts) == 1
 
-    def test_kappa_validation(self):
-        P = gen_cantor_product(CANTOR2, 2)
-        with pytest.raises(ValueError, match="kappa"):
-            direction_scan(P, num_samples=1, kappa=len(P) + 1)
-        with pytest.raises(ValueError, match="kappa"):
-            direction_scan(P, num_samples=1, kappa=0)
-
     def test_budget_and_mean_energy_fields(self):
         P = gen_cantor_product(CANTOR2, 3)
         rep = direction_scan(P, s=1.0, eps=0.1, num_samples=50, master_seed=3)
@@ -429,6 +422,17 @@ class TestDirectionScan:
         for _ in range(5):
             V = haar_sample(2, 1, rng)
             assert pair_energy(P, V) == len(P) ** 2
+
+    def test_report_header_constant_lines(self, tmp_path):
+        # written without report fields: 1, and 2^n
+        cases = ((2, gen_cantor_product(CANTOR2, 2), "dim_slack 4"),
+                 (3, gen_random_tree_set(3, 1.5, 3, seed=2), "dim_slack 8"))
+        for n, P, slack in cases:
+            rep = direction_scan(P, s=1.0, eps=0.1, num_samples=2, master_seed=3, m=n - 1)
+            write_scan_report(rep, tmp_path / f"scan{n}.txt")
+            lines = (tmp_path / f"scan{n}.txt").read_text().splitlines()
+            at = lines.index(f"kappa {rep.kappa}")
+            assert lines[at + 1 : at + 3] == ["threshold_slack 1", slack]
 
     def test_report_round_trip_files(self, tmp_path):
         P = gen_cantor_product(CANTOR2, 2)
