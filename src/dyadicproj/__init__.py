@@ -2,13 +2,9 @@
 for integer point sets on the unit cube."""
 
 from .content import (
-    CoverMinimalityError,
     DyadicCover,
-    delta_s_sets_from_cover,
-    finite_strong_cover,
     optimal_cover,
     read_cover,
-    strong_cover_misses,
     write_cover,
 )
 from .fractals import (
@@ -37,7 +33,6 @@ from .projection import (
     ScanReport,
     classify_direction,
     coincidence_probability_exact,
-    coincidence_probability_mc,
     direction_scan,
     haar_sample,
     min_projection_cover,

@@ -61,6 +61,18 @@ def _iroot(x: int, q: int) -> int:
         r = nr
 
 
+def _ceil_pow2(p: int, q: int, e: int) -> int:
+    """Exact ceil(2^(e*p/q)) for nonnegative integers via integer roots."""
+    num = e * p
+    t, r = divmod(num, q)
+    if r == 0:
+        return 1 << t
+    # smallest c with c^q >= 2^num
+    x = 1 << num
+    root = _iroot(x, q)
+    return root if root**q >= x else root + 1
+
+
 @dataclass(frozen=True)
 class ExponentContext:
     """Comparison context for level-multiplicity dicts {level: count} and

@@ -2,15 +2,13 @@
 
 The central object is the minimizing disjoint dyadic cover of a point set
 for the weight sum(side^s): its value is the dyadic s-content of the set at
-scale 2^-level.  Minimizing covers satisfy a subadditivity property (the sum
-of member weights under any dyadic cube never exceeds that cube's weight),
-which is what makes their per-level center sets regular; the finite
-multi-scale construction in `finite_strong_cover` builds on that.
+scale 2^-level.  Minimizing covers are subadditive: the weight of the
+member cubes under any occupied dyadic cube strictly above the cover is
+below that cube's own weight, since ties go to the coarser cube.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,27 +20,10 @@ from .grid import _format_rows, _parse_rows, _row_index, _unique_rows
 
 __all__ = [
     "DyadicCover",
-    "CoverMinimalityError",
     "optimal_cover",
-    "delta_s_sets_from_cover",
-    "finite_strong_cover",
-    "strong_cover_misses",
     "write_cover",
     "read_cover",
 ]
-
-
-class CoverMinimalityError(ValueError):
-    """A cover failed the subadditivity check required of a minimizer."""
-
-    def __init__(self, cube: DyadicCube, total: float, budget: float):
-        self.cube = cube
-        self.total = total
-        self.budget = budget
-        super().__init__(
-            f"cover weight {total:.17g} under cube level={cube.level} "
-            f"coords={cube.coords} exceeds {budget:.17g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -142,98 +123,6 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
         raise AssertionError("reconstructed cover does not match DP value")
     mult = {j: n for j, n in enumerate(rows[0].tolist()) if n}
     return DyadicCover(cubes, float(s), ctx.to_float(mult))
-
-
-def delta_s_sets_from_cover(cover: DyadicCover) -> dict[int, GridPointSet]:
-    """Split a minimizing cover by level into center-cell sets.
-
-    Validates the minimizer subadditivity first: for every dyadic cube Q0
-    the sum of side^s over cover cubes nested in Q0 must not exceed
-    side(Q0)^s.  Raises CoverMinimalityError naming the offending cube.
-    """
-    if not len(cover.rows):
-        raise ValueError("empty cover")
-    ctx = ExponentContext.create(cover.s)
-    levels, coords = cover.rows[:, 0], cover.rows[:, 1:]
-    dim, L = coords.shape[1], int(levels[-1])
-    # a cube enters the tree through its first level-L cell, which carries
-    # the cube's level; the other tree nodes under a cube hold no weight
-    firsts = coords << (L - levels)[:, None]
-    home = levels[np.lexsort(firsts.T[::-1])]
-    tree = build_cover_tree(GridPointSet(dim, L, firsts))
-    anc = np.arange(home.size)  # each first cell's level-a ancestor
-    rows = np.zeros((home.size, 1), dtype=np.int64)
-    offending = None
-    for a in range(L, -1, -1):
-        if a < L:
-            anc = tree.parents[a + 1][anc]
-            rows = np.pad(tree.child_sums(a, rows), ((0, 0), (1, 0)))
-        # a cover cube's own row (weight equal to budget) is left out of the
-        # check, so no exact tie goes to the fallback
-        bad = np.flatnonzero(ctx.compare_rows(rows, a) > 0)
-        if bad.size:
-            offending = (DyadicCube(a, tuple(int(q) for q in tree.levels[a][bad[0]])), rows[bad[0]])
-        rows[anc[home == a], 0] = 1
-    if offending is not None:
-        cube, row = offending
-        terms = {cube.level + int(c): int(row[c]) for c in np.flatnonzero(row)}
-        raise CoverMinimalityError(cube, ctx.to_float(terms), ctx.to_float({cube.level: 1}))
-    return _split_by_level(cover.rows)
-
-
-def _split_by_level(rows: np.ndarray) -> dict[int, GridPointSet]:
-    """The cubes of each level of `level c_1 ... c_n` rows as a point set."""
-    dim = rows.shape[1] - 1
-    levels = rows[:, 0]
-    return {j: GridPointSet(dim, j, rows[levels == j, 1:]) for j in np.unique(levels).tolist()}
-
-
-def finite_strong_cover(
-    P: GridPointSet, s: float, eps: float, k_range: tuple[int, int]
-) -> dict[int, GridPointSet]:
-    """Finite multi-scale family of center sets whose cells cover P.
-
-    For each base scale i in k_range: build the minimizing (s - eps)-cover of
-    P restricted to levels >= i, split it into per-level unions of cubes,
-    re-cover each union minimally for the exponent s with its coarsest level
-    clamped to floor(eps*j/s) (warning where the clamp raises the value),
-    and pool the resulting center cells by level.  Every cell of P lies
-    under a center cell of at least one returned set, and each returned set
-    is regular with a constant growing at most like (level * s / eps)^2.
-    """
-    if len(P) == 0:
-        raise ValueError("cannot cover an empty point set")
-    if not 0.0 < eps < s:
-        raise ValueError(f"need 0 < eps < s, got eps={eps} s={s}")
-    _validate_exponent(P, s)
-    k_lo, k_hi = k_range
-    if not (1 <= k_lo <= k_hi <= P.level):
-        raise ValueError(f"scale range [{k_lo}, {k_hi}] invalid for level {P.level}")
-
-    pooled = []
-    for i in range(k_lo, k_hi + 1):
-        base = optimal_cover(P, s - eps, j_min=i)
-        for j, X in _split_by_level(base.rows).items():
-            clamp = int(np.floor(eps * j / s))
-            refined = optimal_cover(X, s, j_min=clamp)
-            if clamp > 0:
-                unclamped = optimal_cover(X, s, j_min=0)
-                if unclamped.value < refined.value * (1 - 1e-12):
-                    warnings.warn(
-                        f"scale window clamp at level {clamp} raised the cover "
-                        f"value for block scale i={i}, j={j}",
-                        stacklevel=2,
-                    )
-            pooled.append(refined.rows)
-    return _split_by_level(np.concatenate(pooled))
-
-
-def strong_cover_misses(P: GridPointSet, family: dict[int, GridPointSet]) -> int:
-    """Number of cells of P under no cell of the family at any level."""
-    covered = np.zeros(len(P), dtype=bool)
-    for k, Pk in family.items():
-        covered |= _row_index(P.cells >> (P.level - k), Pk.cells) >= 0
-    return int((~covered).sum())
 
 
 # --- cover text format ------------------------------------------------------

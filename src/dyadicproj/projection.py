@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
+from ._exact import _ceil_pow2, snap_exponent
 from .grid import GridPointSet, _unique_rows, build_cover_tree
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "classify_direction",
     "direction_scan",
     "coincidence_probability_exact",
-    "coincidence_probability_mc",
     "write_scan_report",
     "write_scan_csv",
     "summary_line",
@@ -282,6 +282,19 @@ def _derived_seed(master_seed: int, index: int) -> tuple[np.random.SeedSequence,
     return ss, int(ss.generate_state(1, np.uint64)[0])
 
 
+def _subset_size(level: int, s: float, eps: float) -> int:
+    """ceil(delta^(-s+eps)) at delta = 2^-level.
+
+    Exact when s and eps snap to small-denominator rationals (see _exact),
+    so an exact power of two is not rounded up past itself; otherwise the
+    float rule."""
+    frac_s, frac_eps = snap_exponent(s), snap_exponent(eps)
+    if frac_s is None or frac_eps is None:
+        return math.ceil((2.0**-level) ** (-s + eps) - 1e-12)
+    e = frac_s - frac_eps
+    return _ceil_pow2(e.numerator, e.denominator, level) if e > 0 else 1
+
+
 def direction_scan(
     P: GridPointSet,
     s: float = 1.0,
@@ -304,7 +317,7 @@ def direction_scan(
         raise ValueError("num_samples must be >= 0")
     delta = P.delta
     n_pts = len(P)
-    kappa = max(1, min(n_pts, math.ceil(delta ** (-s + eps) - 1e-12)))
+    kappa = max(1, min(n_pts, _subset_size(P.level, s, eps)))
 
     def one(index: int) -> DirectionRecord:
         ss, seed = _derived_seed(master_seed, index)
@@ -357,24 +370,6 @@ def coincidence_probability_exact(gap: float, delta: float) -> float:
     if gap <= 0 or delta <= 0:
         raise ValueError("gap and delta must be positive")
     return (2.0 / math.pi) * math.asin(min(1.0, delta / gap))
-
-
-def coincidence_probability_mc(
-    x: np.ndarray, y: np.ndarray, delta: float, num_samples: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte-Carlo estimate and its standard error, over Haar directions in R^2."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != (2,) or y.shape != (2,):
-        raise ValueError("x and y must be 2-vectors")
-    gauss = rng.standard_normal((num_samples, 2))
-    norms = np.linalg.norm(gauss, axis=1)
-    ok = norms > 1e-12
-    dirs = gauss[ok] / norms[ok, None]
-    hits = np.abs(dirs @ (x - y)) <= delta
-    p = float(hits.mean())
-    se = math.sqrt(max(p * (1 - p), 1e-12) / hits.size)
-    return p, se
 
 
 # --- report serialization ----------------------------------------------------

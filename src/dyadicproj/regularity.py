@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._exact import _iroot, snap_exponent
+from ._exact import _ceil_pow2, snap_exponent
 from .content import _validate_exponent, _write_cubes, optimal_cover
 from .grid import GridPointSet, _row_index, build_cover_tree, write_pointset
 
@@ -178,18 +178,6 @@ def _greedy_net(P: GridPointSet) -> GridPointSet:
         else:
             taken[i] = True
     return GridPointSet(P.dim, P.level, cells[np.array(taken, dtype=bool)])
-
-
-def _ceil_pow2(p: int, q: int, e: int) -> int:
-    """Exact ceil(2^(e*p/q)) for nonnegative integers via integer roots."""
-    num = e * p
-    t, r = divmod(num, q)
-    if r == 0:
-        return 1 << t
-    # smallest c with c^q >= 2^num
-    x = 1 << num
-    root = _iroot(x, q)
-    return root if root**q >= x else root + 1
 
 
 def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> GridPointSet:

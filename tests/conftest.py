@@ -1,8 +1,9 @@
 """Shared brute-force oracles for the test suite.
 
 These deliberately avoid the library's own algorithms: covers are found by
-exhaustive enumeration of antichains, energies by direct pair loops, and
-window constants by scanning every dyadic cube.  Expected values asserted in
+exhaustive enumeration of antichains, energies by direct pair loops,
+window constants by scanning every dyadic cube, and two-point coincidence
+probabilities by sampling directions.  Expected values asserted in
 the tests were computed with these oracles.  The `impls` fixture gives
 both pair-kernel backends, for tests that compare them.
 """
@@ -223,6 +224,25 @@ def near_boundary_oracle(coords: np.ndarray, delta: float) -> int:
     return sum(
         any(abs(c - round(c / side) * side) < 1e-9 * delta for c in row) for row in rows
     )
+
+
+def coincidence_probability_mc(
+    x: np.ndarray, y: np.ndarray, delta: float, num_samples: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Monte-Carlo estimate and its standard error of
+    P(|proj_e x - proj_e y| <= delta), over Haar directions e in R^2."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != (2,) or y.shape != (2,):
+        raise ValueError("x and y must be 2-vectors")
+    gauss = rng.standard_normal((num_samples, 2))
+    norms = np.linalg.norm(gauss, axis=1)
+    ok = norms > 1e-12
+    dirs = gauss[ok] / norms[ok, None]
+    hits = np.abs(dirs @ (x - y)) <= delta
+    p = float(hits.mean())
+    se = math.sqrt(max(p * (1 - p), 1e-12) / hits.size)
+    return p, se
 
 
 def random_subset(

@@ -23,7 +23,6 @@ from dyadicproj.projection import (
     Plane,
     classify_direction,
     coincidence_probability_exact,
-    coincidence_probability_mc,
     direction_scan,
     haar_sample,
     min_projection_cover,
@@ -33,7 +32,12 @@ from dyadicproj.projection import (
 )
 from dyadicproj.regularity import heavy_decompose, minimal_spread_constant
 
-from conftest import min_bins_oracle, min_cover_value_oracle, random_subset
+from conftest import (
+    coincidence_probability_mc,
+    min_bins_oracle,
+    min_cover_value_oracle,
+    random_subset,
+)
 
 CANTOR2 = CantorPattern(4, ((0, 3), (0, 3)))
 

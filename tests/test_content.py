@@ -3,19 +3,14 @@ import pytest
 
 from dyadicproj._exact import ExponentContext
 from dyadicproj.content import (
-    CoverMinimalityError,
     DyadicCover,
     build_cover_tree,
-    delta_s_sets_from_cover,
-    finite_strong_cover,
     optimal_cover,
     read_cover,
-    strong_cover_misses,
     write_cover,
 )
 from dyadicproj.fractals import QUARTER_CANTOR, CantorPattern, gen_cantor_product
-from dyadicproj.grid import DyadicCube, GridPointSet
-from dyadicproj.regularity import minimal_spread_constant
+from dyadicproj.grid import GridPointSet
 
 from conftest import min_cover_value_oracle, random_subset
 
@@ -199,73 +194,58 @@ class TestDyadicCoverAntichain:
             _cover((1, (0,)), (1, (0, 1)))
 
 
-class TestDeltaSSets:
-    def test_single_cube(self):
-        P = GridPointSet.from_cells(1, 3, [(4,)])
-        parts = delta_s_sets_from_cover(optimal_cover(P, 0.5))
-        assert set(parts) == {3}
-        assert parts[3].cells.tolist() == [[4]]
-
-    def test_merged_pair_gives_level2_center(self):
-        P = GridPointSet.from_cells(1, 3, [(0,), (1,)])
-        parts = delta_s_sets_from_cover(optimal_cover(P, 0.5))
-        assert set(parts) == {2}
-        assert parts[2].cells.tolist() == [[0]]
-
-    def test_cantor_leaf_cover_passes_ancestor_scan(self):
-        P = gen_cantor_product(QUARTER_CANTOR, 3)
-        cover = optimal_cover(P, 0.5, j_min=P.level)  # forced to leaf level
-        parts = delta_s_sets_from_cover(cover)
-        assert set(parts) == {6}
-        assert len(parts[6]) == 8
-
-    def test_non_minimal_cover_rejected(self):
-        # four leaf cubes under one level-1 cube: weight 4 * 2^-1 > 2^-0.5
-        bad = DyadicCover([(2, i) for i in range(4)], 0.5, 4 * 0.5)
-        with pytest.raises(CoverMinimalityError) as err:
-            delta_s_sets_from_cover(bad)
-        assert err.value.cube.level in (0, 1)
-
-    def test_first_offending_cube_is_named(self):
-        # three level-2 cells under each of (0, 1) and (1, 0): 3 * 2^-3 >
-        # 2^-1.5 there, while the root holds 0.75 <= 1
-        cells = [(0, 2), (0, 3), (1, 2), (2, 0), (3, 0), (2, 1)]
-        bad = DyadicCover([(2, *c) for c in cells], 1.5, 0.75)
-        with pytest.raises(CoverMinimalityError) as err:
-            delta_s_sets_from_cover(bad)
-        assert err.value.cube == DyadicCube(1, (0, 1))
-        assert (err.value.total, err.value.budget) == (0.375, 2.0**-1.5)
+def cover_weight_above(P: GridPointSet, cover: DyadicCover):
+    """Yield (level, cover level counts under the cube) for every occupied
+    cube of P strictly above the cover, by tuple membership."""
+    cubes = [(r[0], tuple(r[1:])) for r in cover.rows.tolist()]
+    for a in range(P.level + 1):
+        for q in sorted({tuple(c >> (P.level - a) for c in cell) for cell in P.cells.tolist()}):
+            under: dict[int, int] = {}
+            for j, c in cubes:
+                if j <= a:
+                    if tuple(x >> (a - j) for x in q) == c:
+                        break  # q is a cover cube or lies in one
+                elif tuple(x >> (j - a) for x in c) == q:
+                    under[j] = under.get(j, 0) + 1
+            else:
+                yield a, under
 
 
-class TestFiniteStrongCover:
-    def test_singleton(self):
-        P = GridPointSet.from_cells(1, 4, [(9,)])
-        fam = finite_strong_cover(P, 0.6, 0.1, (2, 4))
-        for Pk in fam.values():
-            assert len(Pk) == 1
-        assert strong_cover_misses(P, fam) == 0
+class TestSubadditivity:
+    """A minimal cover weighs strictly less than any occupied cube strictly
+    above it: otherwise that cube would cover its part at no greater cost,
+    and ties go to the coarser cube."""
 
-    def test_cantor_family_regularity(self):
-        P = gen_cantor_product(QUARTER_CANTOR, 3)
-        fam = finite_strong_cover(P, 0.6, 0.1, (2, 6))
-        assert strong_cover_misses(P, fam) == 0
-        for k, Pk in fam.items():
-            budget = 2.0 * max(1, k) ** 2 * (0.6 / 0.1) ** 2
-            assert minimal_spread_constant(Pk, 0.6) <= budget
+    @pytest.mark.parametrize("dim,level,max_cells", [(1, 5, None), (2, 3, None), (3, 2, 40)])
+    def test_random_subsets(self, rng, dim, level, max_cells):
+        checked = 0
+        for _ in range(8):
+            P = random_subset(rng, dim, level, max_cells)
+            for s in (0.5, 1.0, 1.5):
+                if s > dim:
+                    continue
+                ctx = ExponentContext.create(s)
+                for a, under in cover_weight_above(P, optimal_cover(P, s)):
+                    assert ctx.compare(under, {a: 1}) < 0, (P.cells.tolist(), s, a, under)
+                    checked += 1
+        assert checked
 
-    def test_isolated_cells_covered(self, rng):
+    def test_quarter_cantor_ties(self, rng):
+        # every quarter-Cantor cube ties its four grandchildren at s = 1/2:
+        # on the set alone the cover is the root; a copy in a level-2 cube,
+        # with a few random cells beside it, has its tied cube under the root
         cantor = gen_cantor_product(QUARTER_CANTOR, 3)
-        extra = random_subset(rng, 1, 6)
-        P = cantor.union(extra)
-        fam = finite_strong_cover(P, 0.6, 0.1, (2, 6))
-        assert strong_cover_misses(P, fam) == 0
-
-    def test_validation(self):
-        P = GridPointSet.from_cells(1, 4, [(0,)])
-        with pytest.raises(ValueError):
-            finite_strong_cover(P, 0.5, 0.6, (1, 4))  # eps >= s
-        with pytest.raises(ValueError):
-            finite_strong_cover(P, 0.5, 0.1, (3, 2))  # empty range
+        ctx = ExponentContext.create(0.5)
+        assert list(cover_weight_above(cantor, optimal_cover(cantor, 0.5))) == []
+        small = gen_cantor_product(QUARTER_CANTOR, 2)
+        checked = 0
+        for offset in range(4):
+            copy = GridPointSet(1, 6, small.cells + (offset << 4))
+            P = copy.union(random_subset(rng, 1, 6, 3))
+            for a, under in cover_weight_above(P, optimal_cover(P, 0.5)):
+                assert ctx.compare(under, {a: 1}) < 0, (P.cells.tolist(), a, under)
+                checked += 1
+        assert checked
 
 
 class TestCoverFormat:

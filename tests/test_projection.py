@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from dyadicproj.grid import GridPointSet
 from dyadicproj.projection import (
     Plane,
     _bin_profile,
+    _subset_size,
     classify_direction,
     coincidence_probability_exact,
-    coincidence_probability_mc,
     direction_scan,
     haar_sample,
     min_projection_cover,
@@ -30,6 +32,7 @@ from dyadicproj.projection import (
 
 from conftest import (
     bin_counts_oracle,
+    coincidence_probability_mc,
     min_bins_oracle,
     near_boundary_oracle,
     pair_energy_oracle,
@@ -396,6 +399,36 @@ class TestDirectionScan:
         for r in rep.per_direction:
             if r.label == "bad":
                 assert r.energy >= r.threshold
+
+    def test_subset_size_matches_fraction_oracle(self):
+        # kappa = ceil(2^(j*(s - eps))): the least c with c^q >= 2^(j*p) for
+        # s - eps = p/q > 0, read from the decimal strings; 1 for p/q <= 0
+        for s, eps in itertools.product(
+            ("0.5", "0.75", "0.9", "1.0", "1.1", "1.3", "1.5", "2.0", "2.5"),
+            ("0.05", "0.1", "0.2", "0.25", "0.5", "1.0"),
+        ):
+            e = Fraction(s) - Fraction(eps)
+            for j in range(21):
+                want = 1
+                if e > 0:
+                    p, q = e.numerator, e.denominator
+                    want = max(1, int(2.0 ** (j * float(e))) - 4)
+                    while want**q < 2 ** (j * p):
+                        want += 1
+                    assert want == 1 or (want - 1) ** q < 2 ** (j * p)
+                assert _subset_size(j, float(s), float(eps)) == want, (s, eps, j)
+        # the float rule rounds these powers of two up by one
+        assert _subset_size(15, 1.0, 0.2) == 2**12
+        assert _subset_size(20, 1.0, 0.1) == 2**18
+        # an exponent with no small-denominator rational keeps the float rule
+        s = 0.6180339887
+        assert _subset_size(12, s, 0.1) == math.ceil(2.0 ** (12 * (s - 0.1)) - 1e-12)
+
+    def test_kappa_at_exact_power_of_two(self):
+        # 2^(10 * (1.3 - 0.2)) = 2^11 of 4,096 cells; the float rule gives 2049
+        P = gen_degenerate("cluster", n=2, level=10, cube_level=4)
+        assert len(P) == 4096
+        assert direction_scan(P, s=1.3, eps=0.2).kappa == 2048
 
     def test_singleton_set_scan(self):
         P = GridPointSet.from_cells(2, 8, [(17, 200)])
