@@ -7,7 +7,9 @@ and trusts the result wherever it clears a derived error bound.  When s is
 (or rounds to) a rational p/q with q <= 64, the rows the float filter
 cannot decide go to `compare`, which is exact, so self-similar ties are
 decided deterministically.  For other exponents the float result is final,
-with ties defined by a relative tolerance.
+with ties defined by a relative tolerance.  `_cmp_pow2` decides a rational
+against one power 2^(e*p/q) the same way, float filter first, and the scan
+takes its kappa, its bad label and its budget gate from it.
 """
 
 from __future__ import annotations
@@ -61,16 +63,49 @@ def _iroot(x: int, q: int) -> int:
         r = nr
 
 
-def _ceil_pow2(p: int, q: int, e: int) -> int:
-    """Exact ceil(2^(e*p/q)) for nonnegative integers via integer roots."""
-    num = e * p
-    t, r = divmod(num, q)
-    if r == 0:
-        return 1 << t
-    # smallest c with c^q >= 2^num
-    x = 1 << num
-    root = _iroot(x, q)
-    return root if root**q >= x else root + 1
+# Float filter of _cmp_pow2 for x against t = 2^(e*p/q), |e*p/q| <= 1000.
+# With u = 2^-53: fl(p/q) and its product with e each round by at most u,
+# so the exponent is off by less than 1001 * 2.0001u, which scales the power
+# by a relative error below ln(2) * 2003u < 1389u; pow adds at most 2u, so
+# t' is within 1392u of t, and float(x) is within u of x (or within 2^-1075
+# of it when subnormal, far below 2^-42 * t' with t' > 2^-1001).  Hence
+# |x' - t'| > 2^-42 * (x' + t') = 4096u * (x' + t') implies that x and t
+# are in the order of x' and t'.
+_POW_RTOL = 2.0**-42
+
+
+def _cmp_pow2(x, e: int, frac: Fraction) -> int:
+    """Sign of x - 2^(e*frac) for a rational x >= 0: in floats where they
+    clear _POW_RTOL, else as x^q against 2^(e*p) in integers."""
+    exponent = e * float(frac)
+    if abs(exponent) <= 1000 and x < 1 << 1000:
+        xf, t = float(x), 2.0**exponent
+        if abs(xf - t) > _POW_RTOL * (xf + t):
+            return 1 if xf > t else -1
+    x = Fraction(x)
+    q = frac.denominator
+    lhs, rhs, shift = x.numerator**q, x.denominator**q, e * frac.numerator
+    if shift >= 0:
+        rhs <<= shift
+    else:
+        lhs <<= -shift
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _ceil_pow2(frac: Fraction, e: int, cap: int) -> int:
+    """Exact min(cap, ceil(2^(e*frac))) for frac >= 0, e >= 0 and cap >= 1,
+    by bisection on [0, cap]: about log2(cap) comparisons, almost all of
+    them decided by the float filter, however large e*frac is."""
+    if _cmp_pow2(cap, e, frac) <= 0:
+        return cap
+    lo, hi = 0, cap  # lo < ceil(2^(e*frac)) <= hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _cmp_pow2(mid, e, frac) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

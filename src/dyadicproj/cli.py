@@ -18,6 +18,7 @@ from .fractals import parse_generator_spec
 from .grid import GridPointSet, coarsen, read_pointset, write_pointset
 from .projection import (
     _derived_seed,
+    _over_budget,
     direction_scan,
     summary_line,
     write_scan_csv,
@@ -202,7 +203,8 @@ def _cmd_multiscan(args) -> int:
     Per scale j: coarsen the input to level j, prune heavy cubes (cell-count
     normalization C = |P_j| * 2^(-j*s)), then Monte-Carlo the direction
     classification on the surviving regular part.  A scale violates when
-    bad_fraction > budget * --slack; any violation exits 2.
+    bad_fraction > budget * --slack (`_over_budget`, exact when eps snaps);
+    any violation exits 2.
     """
     seed = _require_seed(args)
     P = _load_points(args.input, args.gen, seed)
@@ -241,14 +243,15 @@ def _cmd_multiscan(args) -> int:
             )
             write_scan_report(report, out / f"scale{j}_scan.txt")
             write_scan_csv(report, out / f"scale{j}_scan.csv")
+            n_bad = sum(r.label == "bad" for r in report.per_direction)
             bad_fraction = report.bad_fraction
             budget = report.budget
             mean_energy = report.mean_energy
             energy_bound = report.energy_bound
         else:
-            bad_fraction, budget = 0.0, delta**args.eps
+            n_bad, bad_fraction, budget = 0, 0.0, delta**args.eps
             mean_energy = energy_bound = 0.0
-        bad_over_budget = bad_fraction > budget * args.slack
+        bad_over_budget = _over_budget(n_bad, args.samples, j, args.eps, args.slack)
         violation |= bad_over_budget
         ratio = bad_fraction / budget if budget else 0.0
         if ratio > worst[1]:

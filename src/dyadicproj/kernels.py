@@ -55,6 +55,18 @@ def available_backends() -> dict:
     return out
 
 
+def _sorted_by_first(coords: np.ndarray, copy: bool = True) -> np.ndarray:
+    """Rows of an (N, m) array ordered by the first coordinate: the array
+    itself if already so, and sorted in place if not copy and m = 1."""
+    first = coords[:, 0]
+    if (first[1:] >= first[:-1]).all():
+        return coords
+    if copy or coords.shape[1] > 1:
+        return coords[np.argsort(first)]
+    first.sort()
+    return coords
+
+
 def coincidence_count(coords: np.ndarray, delta: float, backend=None) -> int:
     """Ordered pairs (diagonal included) of rows within Euclidean distance delta.
 
@@ -68,11 +80,7 @@ def coincidence_count(coords: np.ndarray, delta: float, backend=None) -> int:
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] == 0:
         raise ValueError("coords must be a 2-D array with at least one column")
-    if coords.shape[1] == 1:
-        x = np.sort(coords[:, 0])[:, None]
-    else:
-        x = coords[np.argsort(coords[:, 0])]
-    return int(impl.pair_count(x, float(delta)))
+    return int(impl.pair_count(_sorted_by_first(coords), float(delta)))
 
 
 def riesz_pair_sum(points: np.ndarray, power: int, backend=None) -> float:

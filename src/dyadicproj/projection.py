@@ -2,25 +2,31 @@
 
 For a point set P at scale delta and a random m-plane V, the pair energy
 E_V(P) counts ordered pairs whose projections land within delta of each
-other.  Directions where the energy exceeds a power-law threshold are
+other.  Directions where the energy reaches a power-law threshold are
 classified bad: by Cauchy-Schwarz, a small energy forces every large subset
 of P to project onto many delta-cells, so good directions provably preserve
-covering numbers.  `direction_scan` Monte-Carlos this classification over
+covering numbers.  `classify_direction` computes both sides from one
+projection of P, ordered once: the energy and its label, and the fewest
+bins holding kappa points.  `direction_scan` Monte-Carlos it over
 Haar-random planes and compares the bad fraction with the delta^eps budget.
+When s and eps snap to small-denominator rationals, kappa, the label and
+multiscan's budget gate are decided in exact arithmetic (see _exact).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from ._exact import _ceil_pow2, snap_exponent
+from ._exact import _ceil_pow2, _cmp_pow2, snap_exponent
 from .grid import GridPointSet, _unique_rows, build_cover_tree
 
 __all__ = [
@@ -155,9 +161,7 @@ def _bin_level(m: int, delta: float) -> int:
     return lev
 
 
-def _bin_profile(
-    coords: np.ndarray, m: int, delta: float, kappa: int
-) -> tuple[int, int]:
+def _bin_profile(coords: np.ndarray, delta: float, kappa: int) -> tuple[int, int]:
     """Near-boundary count and fewest bins holding kappa points, from one
     binning of the projected coordinates (N, m).
 
@@ -166,8 +170,11 @@ def _bin_profile(
     precision.  For m = 1 the bins of the sorted coordinates never
     decrease, so bin occupancy is the run lengths of the bin indices.
     """
+    n_pts, m = coords.shape
+    if not 1 <= kappa <= n_pts:
+        raise ValueError(f"kappa={kappa} outside [1, {n_pts}]")
     scale = float(1 << _bin_level(m, delta))
-    scaled = (np.sort(coords[:, 0]) if m == 1 else coords) * scale
+    scaled = (kernels._sorted_by_first(coords)[:, 0] if m == 1 else coords) * scale
     bins = np.floor(scaled)
     frac = scaled - bins
     near = np.minimum(frac, 1.0 - frac) / scale < 1e-9 * delta
@@ -195,42 +202,57 @@ def min_projection_cover(
     """
     if delta is None:
         delta = P.delta
-    if not 1 <= kappa <= len(P):
-        raise ValueError(f"kappa={kappa} outside [1, {len(P)}]")
-    return _bin_profile(project_points(V, P), V.m, delta, kappa)[1]
+    return _bin_profile(project_points(V, P), delta, kappa)[1]
+
+
+@functools.lru_cache(maxsize=64)
+def _energy_threshold(
+    level: int, s: float, eps: float, m: int
+) -> tuple[float, Fraction | None]:
+    """The threshold delta^(min(s,m) - 2s - 4eps) at delta = 2^-level, as the
+    float a report prints, and its exponent of 2^level, 2s + 4eps - min(s,m),
+    as a rational when s and eps snap (see _exact)."""
+    threshold = (2.0**-level) ** (min(s, float(m)) - 2.0 * s - 4.0 * eps)
+    frac_s, frac_eps = snap_exponent(s), snap_exponent(eps)
+    if frac_s is None or frac_eps is None:
+        return threshold, None
+    return threshold, 2 * frac_s + 4 * frac_eps - min(frac_s, m)
 
 
 class ClassifiedDirection(NamedTuple):
     label: str  # "good" or "bad"
     energy: int
     threshold: float
+    min_cover: int
+    n_boundary: int
 
 
 def classify_direction(
-    P: GridPointSet,
-    V: Plane,
-    delta: float | None = None,
-    s: float = 1.0,
-    eps: float = 0.1,
+    P: GridPointSet, V: Plane, s: float, eps: float, kappa: int
 ) -> ClassifiedDirection:
-    """Label V bad when the pair energy reaches its power-law threshold.
-
-    threshold = delta^(min(s,m) - 2s - 4eps).  For a good direction, every
-    subset with at least delta^(-s+eps) points projects onto at least
-    delta^(-min(s,m)+6eps) bins of size delta: this follows from the energy
-    bound by Cauchy-Schwarz and is what the scan checks.
+    """Both sides of the dichotomy at P's scale delta, from one projection
+    of P on V ordered by its first coordinate.  V is bad when the pair energy
+    reaches threshold = delta^(min(s,m) - 2s - 4eps), decided exactly when s
+    and eps snap, so an energy equal to an exact power of two is bad even
+    where the printed float threshold lies above it.  By Cauchy-Schwarz,
+    every subset of a good direction with at least kappa = delta^(-s+eps)
+    points projects onto at least delta^(-min(s,m)+6eps) bins of size delta;
+    min_cover, the fewest bins holding kappa points, is what the scan checks.
     """
     if len(P) == 0:
         raise ValueError("cannot classify directions for an empty set")
     if not 0.0 < eps < s:
         raise ValueError(f"need 0 < eps < s, got eps={eps} s={s}")
-    if delta is None:
-        delta = P.delta
-    energy = pair_energy(P, V, delta)
-    exponent = min(s, float(V.m)) - 2.0 * s - 4.0 * eps
-    threshold = delta**exponent
-    label = "bad" if energy >= threshold else "good"
-    return ClassifiedDirection(label, energy, threshold)
+    coords = kernels._sorted_by_first(project_points(V, P), copy=False)
+    energy = kernels.coincidence_count(coords, P.delta)
+    n_boundary, min_cover = _bin_profile(coords, P.delta, kappa)
+    threshold, exponent = _energy_threshold(P.level, s, eps, V.m)
+    if exponent is None:
+        bad = energy >= threshold
+    else:
+        bad = _cmp_pow2(energy, P.level, exponent) >= 0
+    label = "bad" if bad else "good"
+    return ClassifiedDirection(label, energy, threshold, min_cover, n_boundary)
 
 
 @dataclass(frozen=True)
@@ -246,10 +268,10 @@ class DirectionRecord:
     index: int
     seed: int
     frame: np.ndarray
+    label: str
     energy: int
     threshold: float
     min_cover: int
-    label: str
     n_boundary: int
 
 
@@ -282,17 +304,31 @@ def _derived_seed(master_seed: int, index: int) -> tuple[np.random.SeedSequence,
     return ss, int(ss.generate_state(1, np.uint64)[0])
 
 
-def _subset_size(level: int, s: float, eps: float) -> int:
-    """ceil(delta^(-s+eps)) at delta = 2^-level.
+def _subset_size(level: int, s: float, eps: float, cap: int) -> int:
+    """ceil(delta^(-s+eps)) at delta = 2^-level, capped at cap and at least 1.
 
     Exact when s and eps snap to small-denominator rationals (see _exact),
     so an exact power of two is not rounded up past itself; otherwise the
     float rule."""
+    cap = max(1, cap)
     frac_s, frac_eps = snap_exponent(s), snap_exponent(eps)
     if frac_s is None or frac_eps is None:
-        return math.ceil((2.0**-level) ** (-s + eps) - 1e-12)
+        return max(1, min(cap, math.ceil((2.0**-level) ** (-s + eps) - 1e-12)))
     e = frac_s - frac_eps
-    return _ceil_pow2(e.numerator, e.denominator, level) if e > 0 else 1
+    return _ceil_pow2(e, level, cap) if e > 0 else 1
+
+
+def _over_budget(n_bad: int, num_samples: int, level: int, eps: float, slack: float) -> bool:
+    """Whether the bad fraction exceeds budget * slack, budget = delta^eps at
+    delta = 2^-level.  Exact when eps snaps and slack is a positive float
+    (read as the rational it is), so a fraction equal to its budget passes;
+    otherwise the float rule."""
+    frac = snap_exponent(eps)
+    if frac is None or not 0.0 < slack < math.inf:
+        fraction = n_bad / num_samples if num_samples else 0.0
+        return fraction > (2.0**-level) ** eps * slack
+    fraction = Fraction(n_bad, num_samples) if num_samples else Fraction(0)
+    return _cmp_pow2(fraction / Fraction(slack), -level, frac) > 0
 
 
 def direction_scan(
@@ -317,17 +353,12 @@ def direction_scan(
         raise ValueError("num_samples must be >= 0")
     delta = P.delta
     n_pts = len(P)
-    kappa = max(1, min(n_pts, _subset_size(P.level, s, eps)))
+    kappa = _subset_size(P.level, s, eps, n_pts)
 
     def one(index: int) -> DirectionRecord:
         ss, seed = _derived_seed(master_seed, index)
-        rng = np.random.default_rng(ss)
-        V = haar_sample(P.dim, m, rng)
-        label, energy, threshold = classify_direction(P, V, delta, s, eps)
-        n_boundary, cover = _bin_profile(project_points(V, P), m, delta, kappa)
-        return DirectionRecord(
-            index, seed, V.frame, energy, threshold, cover, label, n_boundary
-        )
+        V = haar_sample(P.dim, m, np.random.default_rng(ss))
+        return DirectionRecord(index, seed, V.frame, *classify_direction(P, V, s, eps, kappa))
 
     if num_samples == 0:
         records: list[DirectionRecord] = []

@@ -197,15 +197,16 @@ def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> Gri
     frac = snap_exponent(s)
 
     def cap(j: int) -> int:
+        """ceil((side/delta)^s) at level j, capped at len(P): sums never
+        exceed len(P), so a cap above it never binds."""
         if frac is not None:
-            return _ceil_pow2(frac.numerator, frac.denominator, L - j)
-        return int(np.ceil(2.0 ** ((L - j) * s) - 1e-12))
+            return _ceil_pow2(frac, L - j, len(P))
+        return min(len(P), int(np.ceil(2.0 ** ((L - j) * s) - 1e-12)))
 
-    # cap(j) can exceed int64; sums never exceed len(P), so a cap above it never binds
     budget: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
     budget[L] = np.ones(tree.levels[L].shape[0], dtype=np.int64)
     for j in range(L - 1, -1, -1):
-        budget[j] = np.minimum(tree.child_sums(j, budget[j + 1]), min(cap(j), len(P)))
+        budget[j] = np.minimum(tree.child_sums(j, budget[j + 1]), cap(j))
 
     # each child takes what its parent's quota leaves after the budgets of
     # its earlier siblings in lexicographic order, up to its own budget

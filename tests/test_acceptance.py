@@ -158,9 +158,9 @@ def test_criterion_6_degenerate_detection():
     P = gen_degenerate("line", n=2, level=6)
     orth = Plane(2, 1, np.array([[0.0, 1.0]]))
     along = Plane(2, 1, np.array([[1.0, 0.0]]))
-    label_orth, energy_orth, _ = classify_direction(P, orth, s=1.0, eps=0.1)
+    label_orth, energy_orth, *_ = classify_direction(P, orth, 1.0, 0.1, kappa=len(P))
     assert energy_orth == len(P) ** 2 and label_orth == "bad"
-    label_along, _, _ = classify_direction(P, along, s=1.0, eps=0.1)
+    label_along, *_ = classify_direction(P, along, 1.0, 0.1, kappa=len(P))
     assert label_along == "good"
     assert min_projection_cover(P, along, kappa=len(P)) == len(P)
     report(6, time.time() - t0 < 10, "orthogonal collapse flagged bad, parallel stays good")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dyadicproj
-from dyadicproj import grid, kernels
+from dyadicproj import cli, grid, kernels
 from dyadicproj.cli import main
 from dyadicproj.grid import DyadicCube, read_pointset
 
@@ -191,6 +191,25 @@ class TestMultiscan:
             for name in ("bad_fraction", "mean_energy", "energy_bound"):
                 assert float(row[col[name]]) == 0.0
         assert not list(tmp_path.glob("scale*_scan.txt"))
+
+    def test_one_gate_decides_exit_code_and_summary(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def gate(n_bad, num_samples, level, eps, slack):
+            calls.append((level, n_bad, num_samples))
+            return level == 5
+
+        monkeypatch.setattr(cli, "_over_budget", gate)
+        assert self._run(tmp_path, 1) == 2
+        assert "violation" in capsys.readouterr().err
+        header, *rows = (tmp_path / "summary.csv").read_text().splitlines()
+        col = {name: i for i, name in enumerate(header.split(","))}
+        rows = [r.split(",") for r in rows]
+        assert [r[col["violation"]] for r in rows] == ["0", "1", "0"]
+        # the gate sees the bad count behind each scale's bad_fraction
+        assert [level for level, _, _ in calls] == [4, 5, 6]
+        for (_, n_bad, num_samples), r in zip(calls, rows):
+            assert num_samples == 40 and n_bad / 40 == float(r[col["bad_fraction"]])
 
     def test_line_with_tight_budget_violates(self, tmp_path, capsys):
         code = run(

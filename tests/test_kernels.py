@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadicproj import _core, _core_py
+from dyadicproj import _core, _core_py, kernels
 from dyadicproj.grid import GridPointSet
 from dyadicproj.kernels import (
     available_backends,
@@ -106,6 +106,21 @@ def test_coincidence_count_refuses_arrays_without_columns():
     for coords in (np.zeros((3, 0)), np.zeros((0, 0)), np.zeros(3)):
         with pytest.raises(ValueError, match="2-D array"):
             coincidence_count(coords, 0.1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_sort_by_first_coordinate_once(rng, m):
+    x = rng.random((50, m))
+    ordered = kernels._sorted_by_first(x)
+    assert ordered is not x and (np.diff(ordered[:, 0]) >= 0).all()
+    assert sorted(map(tuple, ordered)) == sorted(map(tuple, x))
+    # an ordered array comes back as itself, so it is not sorted again
+    assert kernels._sorted_by_first(ordered) is ordered
+    # without a copy one column is sorted in place; several are gathered
+    y = x.copy()
+    got = kernels._sorted_by_first(y, copy=False)
+    assert (got is y) == (m == 1) and np.array_equal(got, ordered)
+    assert (y is got) or np.array_equal(y, x)
 
 
 def test_dispatcher_counts_match_brute_force():

@@ -11,11 +11,12 @@ from dyadicproj.fractals import (
     gen_degenerate,
     gen_random_tree_set,
 )
-from dyadicproj import kernels
+from dyadicproj import kernels, projection
 from dyadicproj.grid import GridPointSet
 from dyadicproj.projection import (
     Plane,
     _bin_profile,
+    _over_budget,
     _subset_size,
     classify_direction,
     coincidence_probability_exact,
@@ -293,7 +294,7 @@ class TestBinProfile:
             coords = project_points(V, P)
             for delta in (P.delta / 2, float(rng.uniform(0.02, 0.6))):
                 kappa = int(rng.integers(1, len(P) + 1))
-                n_boundary, cover = _bin_profile(coords, m, delta, kappa)
+                n_boundary, cover = _bin_profile(coords, delta, kappa)
                 assert n_boundary == near_boundary_oracle(coords, delta)
                 assert cover == min_projection_cover(P, V, delta, kappa)
                 assert cover == min_bins_oracle(bin_counts_oracle(coords, delta), kappa)
@@ -313,43 +314,81 @@ class TestBinProfile:
         for delta in (P.delta / 2, P.delta, 4 * P.delta):
             counts = bin_counts_oracle(coords, delta)
             for kappa in range(1, len(P) + 1, 7):
-                n_boundary, cover = _bin_profile(coords, m, delta, kappa)
+                n_boundary, cover = _bin_profile(coords, delta, kappa)
                 assert n_boundary == near_boundary_oracle(coords, delta)
                 assert cover == greedy_cover(counts, kappa)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_scan_records_match_oracles(self, m):
+    def test_scan_records_match_oracles(self, m, impls, monkeypatch):
         P = gen_random_tree_set(m + 1, 1.6, 4, seed=5)
         delta = P.delta
-        rep = direction_scan(P, s=1.0, eps=0.1, num_samples=12, master_seed=4, m=m)
-        for r in rep.per_direction:
-            coords = project_points(Plane(m + 1, m, r.frame), P)
-            assert r.n_boundary == near_boundary_oracle(coords, delta)
-            assert r.min_cover == greedy_cover(bin_counts_oracle(coords, delta), rep.kappa)
+        for impl in impls.values():
+            monkeypatch.setattr(kernels, "_active", impl)
+            rep = direction_scan(P, s=1.0, eps=0.1, num_samples=12, master_seed=4, m=m)
+            for r in rep.per_direction:
+                coords = project_points(Plane(m + 1, m, r.frame), P)
+                assert r.n_boundary == near_boundary_oracle(coords, delta)
+                assert r.min_cover == greedy_cover(bin_counts_oracle(coords, delta), rep.kappa)
+                assert r.energy == pair_energy_oracle(coords, delta)
+                # Cauchy-Schwarz: the points of one bin are within delta
+                assert rep.kappa**2 <= r.energy * r.min_cover
 
 
 class TestClassifyDirection:
     def test_singleton_good(self):
         P = GridPointSet.from_cells(2, 10, [(5, 9)])
         V = Plane(2, 1, np.array([[1.0, 0.0]]))
-        label, energy, threshold = classify_direction(P, V, s=1.0, eps=0.1)
+        label, energy, threshold, min_cover, _ = classify_direction(P, V, 1.0, 0.1, kappa=1)
         assert label == "good" and energy == 1 and threshold > 1
+        assert min_cover == 1
 
     def test_degenerate_line_bad(self):
         P = gen_degenerate("line", n=2, level=6)
         V = Plane(2, 1, np.array([[0.0, 1.0]]))
-        label, energy, _ = classify_direction(P, V, s=1.0, eps=0.1)
+        label, energy, _, min_cover, _ = classify_direction(P, V, 1.0, 0.1, kappa=len(P))
         assert label == "bad" and energy == len(P) ** 2
+        assert min_cover == 1  # every center projects into one bin
 
     def test_cantor_random_direction_good(self):
         P = gen_cantor_product(CANTOR2, 5)
         rng = np.random.default_rng(12345)
         V = haar_sample(2, 1, rng)
-        label, energy, threshold = classify_direction(P, V, s=1.0, eps=0.1)
+        kappa = math.ceil(P.delta ** (-1.0 + 0.1))
+        label, energy, threshold, min_cover, _ = classify_direction(P, V, 1.0, 0.1, kappa)
         assert label == "good"
         # confirmed by the covering side of the dichotomy
-        kappa = math.ceil(P.delta ** (-1.0 + 0.1))
         assert min_projection_cover(P, V, kappa=kappa) >= P.delta ** (-1.0 + 6 * 0.1)
+        assert min_cover == min_projection_cover(P, V, kappa=kappa)
+
+    def test_energy_at_exact_power_of_two_is_bad(self):
+        # 512 cells (2k, 0) at level 10: on e1 the centers are 2 delta apart,
+        # so E = 512 = 2^(10 * (2s + 4eps - min(s, 1))) at s = 0.5, eps = 0.1,
+        # but the float threshold lies one ulp above it
+        P = GridPointSet.from_cells(2, 10, [(2 * k, 0) for k in range(512)])
+        V = Plane(2, 1, np.array([[1.0, 0.0]]))
+        label, energy, threshold, _, _ = classify_direction(P, V, 0.5, 0.1, kappa=1)
+        assert energy == 512 and repr(threshold) == "512.0000000000001"
+        assert label == "bad"
+        # E >= |P| = 512 in every direction, so every one is bad
+        rep = direction_scan(P, s=0.5, eps=0.1, num_samples=8, master_seed=1)
+        assert min(r.energy for r in rep.per_direction) == 512
+        assert rep.bad_fraction == 1.0
+
+    def test_label_matches_fraction_oracle(self):
+        # bad iff E^q >= 2^(j*p) for p/q = 2s + 4eps - min(s, m) > 0, over
+        # energies next to each threshold, ties included
+        for s, eps, m in itertools.product(
+            ("0.5", "1.0", "1.5"), ("0.05", "0.1", "0.25"), (1, 2)
+        ):
+            e = 2 * Fraction(s) + 4 * Fraction(eps) - min(Fraction(s), m)
+            p, q = e.numerator, e.denominator
+            for j in range(1, 13):
+                _, exponent = projection._energy_threshold(j, float(s), float(eps), m)
+                assert exponent == e
+                t = int(2.0 ** (j * float(e)))
+                for energy in range(max(1, t - 2), t + 3):
+                    bad = projection._cmp_pow2(energy, j, exponent) >= 0
+                    assert bad == (energy**q >= 2 ** (j * p)), (s, eps, m, j, energy)
 
 
 class TestDirectionScan:
@@ -402,27 +441,103 @@ class TestDirectionScan:
 
     def test_subset_size_matches_fraction_oracle(self):
         # kappa = ceil(2^(j*(s - eps))): the least c with c^q >= 2^(j*p) for
-        # s - eps = p/q > 0, read from the decimal strings; 1 for p/q <= 0
+        # s - eps = p/q > 0, read from the decimal strings; 1 for p/q <= 0.
+        # Each case is also capped below, at and above kappa.
+        def check(s, eps, j):
+            e = Fraction(s) - Fraction(eps)
+            want = 1
+            if e > 0:
+                p, q = e.numerator, e.denominator
+                want = max(1, int(2.0 ** (j * float(e))) - 4)
+                while want**q < 2 ** (j * p):
+                    want += 1
+                assert want == 1 or (want - 1) ** q < 2 ** (j * p)
+            for cap in (want - 1, want, want + 1, 2**40):
+                got = _subset_size(j, float(s), float(eps), cap)
+                assert got == max(1, min(cap, want)), (s, eps, j, cap)
+
         for s, eps in itertools.product(
             ("0.5", "0.75", "0.9", "1.0", "1.1", "1.3", "1.5", "2.0", "2.5"),
             ("0.05", "0.1", "0.2", "0.25", "0.5", "1.0"),
         ):
-            e = Fraction(s) - Fraction(eps)
             for j in range(21):
-                want = 1
-                if e > 0:
-                    p, q = e.numerator, e.denominator
-                    want = max(1, int(2.0 ** (j * float(e))) - 4)
-                    while want**q < 2 ** (j * p):
-                        want += 1
-                    assert want == 1 or (want - 1) ** q < 2 ** (j * p)
-                assert _subset_size(j, float(s), float(eps)) == want, (s, eps, j)
+                check(s, eps, j)
+        # s - eps with denominators 3,599 and 4,032, where kappa's q-th
+        # powers run to tens of thousands of bits
+        large = ((Fraction(306, 61), Fraction(1, 59)), (Fraction(449, 64), Fraction(1, 63)))
+        for s, eps in large:
+            for j in range(4):
+                check(s, eps, j)
+            # kappa = ceil(2^(20 * (s - eps))), about 2^100, is far above a cap of 9,215
+            assert _subset_size(20, float(s), float(eps), 9215) == 9215
         # the float rule rounds these powers of two up by one
-        assert _subset_size(15, 1.0, 0.2) == 2**12
-        assert _subset_size(20, 1.0, 0.1) == 2**18
+        assert _subset_size(15, 1.0, 0.2, 2**40) == 2**12
+        assert _subset_size(20, 1.0, 0.1, 2**40) == 2**18
         # an exponent with no small-denominator rational keeps the float rule
         s = 0.6180339887
-        assert _subset_size(12, s, 0.1) == math.ceil(2.0 ** (12 * (s - 0.1)) - 1e-12)
+        want = math.ceil(2.0 ** (12 * (s - 0.1)) - 1e-12)
+        assert _subset_size(12, s, 0.1, 2**40) == want
+        assert _subset_size(12, s, 0.1, want - 1) == want - 1
+
+    def test_budget_gate_at_equality(self):
+        # budget 2^(-10 * 0.2) is exactly 1/4; the float rule computes
+        # 0.24999999999999997, under which 50 bad of 200 would violate
+        assert 50 / 200 > (2.0**-10) ** 0.2
+        assert not _over_budget(50, 200, 10, 0.2, 1.0)
+        assert _over_budget(51, 200, 10, 0.2, 1.0)
+        # slack is read as the rational it is: 1/4 * 1/2 of 200 is 25
+        assert not _over_budget(25, 200, 10, 0.2, 0.5)
+        assert _over_budget(26, 200, 10, 0.2, 0.5)
+        # no samples, no bad directions: no violation
+        assert not _over_budget(0, 0, 10, 0.2, 1.0)
+
+    def test_budget_gate_matches_fraction_oracle(self):
+        # violation iff n_bad^q * 2^(j*p) > (num_samples * slack)^q, p/q = eps
+        for eps, slack, j in itertools.product(
+            ("0.05", "0.1", "0.2", "0.25"), (0.5, 1.0, 1.5), range(0, 21, 2)
+        ):
+            frac = Fraction(eps)
+            p, q = frac.numerator, frac.denominator
+            for n_bad in range(41):
+                want = n_bad**q * 2 ** (j * p) > (40 * Fraction(slack)) ** q
+                assert _over_budget(n_bad, 40, j, float(eps), slack) == want, (eps, slack, j)
+        # an unsnapped eps, or a slack that is not a positive float, keeps
+        # the float rule
+        eps = 0.6180339887
+        assert _over_budget(10, 40, 3, eps, 1.0) == (10 / 40 > (2.0**-3) ** eps)
+        assert _over_budget(0, 40, 3, 0.1, -1.0)
+        assert not _over_budget(40, 40, 3, 0.1, math.inf)
+
+    def test_one_projection_per_direction(self, monkeypatch):
+        # each direction projects P once, sorts the projection once and
+        # counts its pairs once: the counts a per-layer trace of a scan
+        # relies on
+        calls = {"project_points": 0, "classify_direction": 0, "coincidence_count": 0}
+        sorts, order = [], kernels._sorted_by_first
+
+        def sorted_by_first(x, copy=True):
+            sorts.append(bool((x[1:, 0] < x[:-1, 0]).any()))
+            return order(x, copy)
+
+        monkeypatch.setattr(kernels, "_sorted_by_first", sorted_by_first)
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(projection, "project_points")
+        counted(projection, "classify_direction")
+        counted(kernels, "coincidence_count")
+        P = gen_random_tree_set(2, 1.2, 6, seed=3)
+        direction_scan(P, s=1.0, eps=0.1, num_samples=20, master_seed=2)
+        assert set(calls.values()) == {20}
+        # three order checks per direction, and one sort
+        assert len(sorts) == 60 and sum(sorts) == 20
 
     def test_kappa_at_exact_power_of_two(self):
         # 2^(10 * (1.3 - 0.2)) = 2^11 of 4,096 cells; the float rule gives 2049
