@@ -1,16 +1,23 @@
-/* Two pair kernels on raw double arrays: coincidence counts, one slab sweep
- * for every dimension m, and Riesz row sums (inverse-power distances).
- * Plain C, no Python headers; dyadicproj._core loads the shared library
- * with ctypes, which releases the GIL for the duration of a call.  The numpy
- * fallback (_core_py) returns equal results: the same integers, and the same
- * row sums bit for bit.
+/* Two pair kernels on raw double arrays and a row codec for the text
+ * formats.  Plain C, no Python headers; dyadicproj._core loads the shared
+ * library with ctypes, which releases the GIL for the duration of a call.
+ * The numpy fallback (_core_py) returns equal results: the same integers,
+ * the same row sums bit for bit, and the same formatted text.
  *
- * The counting predicate is the one shared by every backend and by the test
- * oracle: for j > i in sorted order, with d the per-coordinate differences,
- * the pair is close when  d.d <= delta*delta  (squares summed over the
- * coordinates in order, built with -ffp-contract=off so no fused
- * multiply-add changes the rounding).  The ordered total, diagonal included,
- * is 2 * close + n, symmetric by construction.
+ * The pair kernels are coincidence counts, one slab sweep for every
+ * dimension m, and Riesz row sums (inverse-power distances).  The counting
+ * predicate is the one shared by every backend and by the test oracle: for
+ * j > i in sorted order, with d the per-coordinate differences, the pair is
+ * close when  d.d <= delta*delta  (squares summed over the coordinates in
+ * order, built with -ffp-contract=off so no fused multiply-add changes the
+ * rounding).  The ordered total, diagonal included, is 2 * close + n,
+ * symmetric by construction.
+ *
+ * The row codec reads and writes lines of space-separated integers.
+ * `format_rows` writes what the fallback's "%d" formatter writes.
+ * `parse_rows` accepts only a canonical subset of what the general reader
+ * (str.split and int, in grid) accepts, and declines everything else; its
+ * caller then runs the general reader, which stays the reference.
  */
 
 #include <math.h>
@@ -122,4 +129,93 @@ int riesz_row_sums(const double *pts, long long n, long long m, int power, doubl
             out[i0 + l] = acc[l];
     }
     return 0;
+}
+
+/* Rows of `width` unsigned decimal tokens in buf[0 .. len-1] into out
+ * (row-major, at most `cap` rows).  Only the bytes 0-9, space, tab, CR and
+ * LF may occur; CR and LF each end a line, lines of spaces and tabs are
+ * skipped, and every other line must hold exactly `width` tokens of at most
+ * 18 digits, so each token is an int64 as Python's int() reads it.  Returns
+ * the row count, or -1 (decline) on any other input or when more than `cap`
+ * rows would be needed. */
+long long parse_rows(const char *buf, long long len, long long width, long long *out,
+                     long long cap)
+{
+    const unsigned char *p = (const unsigned char *)buf, *end = p + len;
+    long long rows = 0, tok = 0;  /* tokens so far on the current line */
+    unsigned long long v;
+    unsigned c;
+    int digits;
+    if (width < 1)
+        return -1;
+    while (p < end) {
+        c = *p;
+        if (c - '0' < 10u) {
+            if (tok == width || (tok == 0 && rows == cap))
+                return -1;
+            v = 0;
+            digits = 0;
+            do {
+                v = v * 10 + (c - '0');
+                digits++;
+                p++;
+            } while (p < end && (c = *p) - '0' < 10u);
+            if (digits > 18)
+                return -1;
+            out[rows * width + tok++] = (long long)v;
+        } else if (c == ' ' || c == '\t') {
+            p++;
+        } else if (c == '\n' || c == '\r') {
+            if (tok) {
+                if (tok != width)
+                    return -1;
+                rows++;
+                tok = 0;
+            }
+            p++;
+        } else {
+            return -1;
+        }
+    }
+    if (tok) {
+        if (tok != width)
+            return -1;
+        rows++;
+    }
+    return rows;
+}
+
+/* n rows of w int64 values as text: each value in decimal with a leading
+ * '-' when negative (INT64_MIN included), values separated by one space,
+ * each row ended by '\n', exactly as "%d" formats them.  out must hold
+ * n * (21 * w + 1) bytes; returns the number written. */
+long long format_rows(const long long *rows, long long n, long long w, char *out)
+{
+    char digits[20];
+    char *o = out;
+    long long i, t;
+    unsigned long long u;
+    int k;
+    for (i = 0; i < n; i++) {
+        for (t = 0; t < w; t++) {
+            long long x = rows[i * w + t];
+            if (t)
+                *o++ = ' ';
+            if (x < 0) {
+                *o++ = '-';
+                u = 0ULL - (unsigned long long)x;
+            } else {
+                u = (unsigned long long)x;
+            }
+            k = 0;
+            do {
+                digits[k++] = (char)('0' + u % 10);
+                u /= 10;
+            } while (u);
+            while (k)
+                *o++ = digits[--k];
+        }
+        *o++ = '\n';
+    }
+    return o - out;
 }

@@ -1,10 +1,12 @@
-"""ctypes loader for the compiled pair kernels in _ckernels.c.
+"""ctypes loader for the compiled kernels in _ckernels.c.
 
 `setup.py build_ext --inplace` (or an install) builds the C file into a
 shared library next to this module.  `load` opens it and wraps its two
-functions, `pair_count` and `riesz_row_sums`, under the names and
-signatures of the numpy fallback in _core_py.  ctypes releases the GIL
-during each foreign call, so threads can run the kernels side by side.
+pair kernels, `pair_count` and `riesz_row_sums`, and its row codec,
+`parse_rows` and `format_rows`, under the names and signatures of the
+numpy fallback in _core_py.  A library that lacks any of the four (one
+built from an older _ckernels.c) counts as not built.  ctypes releases the
+GIL during each foreign call, so threads can run the kernels side by side.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _LL = ctypes.c_longlong
+_LL_P = ctypes.POINTER(ctypes.c_longlong)
+_SYMBOLS = ("pair_count", "riesz_row_sums", "parse_rows", "format_rows")
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -27,14 +31,17 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 class CompiledKernels:
-    """The two pair kernels of one loaded shared library."""
+    """The pair kernels and the row codec of one loaded shared library."""
 
-    def __init__(self, path):
-        lib = ctypes.CDLL(str(path))
+    def __init__(self, lib: ctypes.CDLL):
         lib.pair_count.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_double]
         lib.pair_count.restype = _LL
         lib.riesz_row_sums.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_int, _DOUBLE_P]
         lib.riesz_row_sums.restype = ctypes.c_int
+        lib.parse_rows.argtypes = [ctypes.c_char_p, _LL, _LL, _LL_P, _LL]
+        lib.parse_rows.restype = _LL
+        lib.format_rows.argtypes = [_LL_P, _LL, _LL, ctypes.c_char_p]
+        lib.format_rows.restype = _LL
         self._lib = lib
 
     def pair_count(self, x: np.ndarray, delta: float) -> int:
@@ -57,14 +64,44 @@ class CompiledKernels:
             raise ValueError(f"riesz row sums take 1 to 8 coordinates, got {m}")
         return out
 
+    def parse_rows(self, buf, width: int) -> np.ndarray | None:
+        """The (N, width) int64 rows of a bytes-like buffer in the canonical
+        form (see parse_rows in _ckernels.c), or None where the C parser
+        declines.  The output is sized from the buffer's length: a row takes
+        at least 2 * width bytes, its last line break aside."""
+        if width < 1:
+            return None
+        data = np.frombuffer(buf, dtype=np.uint8)
+        cap = len(data) // (2 * width) + 1
+        out = np.empty((cap, width), dtype=np.int64)
+        n = self._lib.parse_rows(
+            data.ctypes.data_as(ctypes.c_char_p), len(data), width, out.ctypes.data_as(_LL_P), cap
+        )
+        return None if n < 0 else out[:n]
+
+    def format_rows(self, rows: np.ndarray) -> str:
+        """One line of space-separated integers per row of an int64 array,
+        the text of _core_py.format_rows."""
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        n, w = rows.shape
+        out = np.empty(n * (21 * w + 1), dtype=np.uint8)
+        size = self._lib.format_rows(
+            rows.ctypes.data_as(_LL_P), n, w, out.ctypes.data_as(ctypes.c_char_p)
+        )
+        return str(out[:size].data, "ascii")
+
 
 def load(path=None) -> CompiledKernels | None:
     """Open the library at `path`, by default the build beside this module;
-    None when there is no such build."""
+    None when there is no such build, or when the library lacks one of the
+    wrapped functions (it was built from an older _ckernels.c)."""
     if path is None:
         here = Path(__file__).resolve().parent
         built = [here / f"_ckernels{suffix}" for suffix in EXTENSION_SUFFIXES]
         path = next((p for p in built if p.is_file()), None)
         if path is None:
             return None
-    return CompiledKernels(path)
+    lib = ctypes.CDLL(str(path))
+    if not all(hasattr(lib, name) for name in _SYMBOLS):
+        return None
+    return CompiledKernels(lib)

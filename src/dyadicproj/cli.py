@@ -10,6 +10,7 @@ explicit --seed; reports are only overwritten with --force.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -207,6 +208,8 @@ def _cmd_multiscan(args) -> int:
     any violation exits 2.
     """
     seed = _require_seed(args)
+    if not (math.isfinite(args.slack) and args.slack > 0):
+        raise _UsageError(f"--slack must be positive and finite, got {args.slack}")
     P = _load_points(args.input, args.gen, seed)
     if not 0 <= args.level_min <= args.level_max <= P.level:
         raise _UsageError(

@@ -9,14 +9,16 @@ below that cube's own weight, since ties go to the coarser cube.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from ._exact import ExponentContext
 from .grid import MAX_DIM, MAX_LEVEL, DyadicCube, GridPointSet, build_cover_tree
-from .grid import _format_rows, _parse_rows, _row_index, _unique_rows
+from .grid import _FIRST_LINE, _parse_rows, _row_index, _unique_rows
 
 __all__ = [
     "DyadicCover",
@@ -129,23 +131,55 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
 #
 # One line `level c_1 ... c_n` per cube, the cover's rows in (level, coords)
 # order, then a footer `value <decimal>`.  A decomposition's heavy-cube
-# list has it too.
+# list has it too.  As for point sets (grid), a read tries the compiled row
+# parser first and runs the general reader where it declines.
+
+# a footer as _write_cubes writes it
+_FOOTER = re.compile(rb"value ([-+.0-9e]+)")
 
 
 def _write_cubes(rows: np.ndarray, value: float, path) -> None:
     """Write `level c_1 ... c_n` rows and a footer value in the cover text format."""
-    Path(path).write_text(_format_rows(rows) + f"value {value:.17g}\n")
+    Path(path).write_text(kernels.format_rows(rows) + f"value {value:.17g}\n")
 
 
 def write_cover(cover: DyadicCover, path) -> None:
     _write_cubes(cover.rows, cover.value, path)
 
 
+def _read_canonical_cover(path, s: float) -> DyadicCover | None:
+    """The cover of a canonical file, its rows read by the compiled row
+    parser; None where the parser declines, the footer is not one that
+    _write_cubes writes, there are no rows, or the cover fails a check, so
+    that the general reader raises every error.  On the numpy fallback,
+    whose parser declines every file, the file is not read."""
+    if kernels.backend_name() == "python":
+        return None
+    data = Path(path).read_bytes()
+    end = len(data.rstrip(b" \t\r\n"))
+    start = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+    footer = _FOOTER.fullmatch(data, start, end)
+    if footer is None:
+        return None
+    width = len(_FIRST_LINE.match(data).group(1).split())
+    rows = kernels.parse_rows(memoryview(data)[:start], width)
+    if rows is None or not len(rows):
+        return None
+    try:
+        return DyadicCover(rows, s, float(footer.group(1)))
+    except ValueError:
+        return None
+
+
 def read_cover(path, s: float) -> DyadicCover:
+    cover = _read_canonical_cover(path, s)
+    if cover is not None:
+        return cover
     lines = list(filter(str.strip, Path(path).read_text().splitlines()))
-    if not lines or not lines[-1].startswith("value "):
+    footer = lines[-1].split() if lines and lines[-1].startswith("value ") else []
+    if len(footer) < 2:
         raise ValueError(f"{path}: missing value footer")
-    value = float(lines[-1].split()[1])
+    value = float(footer[1])
     width = len(lines[0].split())
     rows = _parse_rows(path, lines[:-1], width, f"a level and {width - 1} coordinates")
     return DyadicCover(rows, s, value)

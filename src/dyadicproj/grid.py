@@ -11,18 +11,28 @@ comparison of adjacent rows), does every dedup, grouping, membership test
 and row lookup on them (`_row_index` groups the rows sought together with
 the rows searched), at any width: one fused int64 key would not fit
 dim * level.  A list of dyadic cubes is the same kind of array, one
-`level c_1 ... c_n` row per cube (`CoverTree.antichain` returns one), and
-every such array is written by one row formatter, `_format_rows`, and read
-by one row parser, `_parse_rows`.
+`level c_1 ... c_n` row per cube (`CoverTree.antichain` returns one).
+
+Every such array is written as text by one row formatter,
+`kernels.format_rows`, and read by the row codec of the active backend
+with one general reader behind it: the compiled parser reads canonical
+files (ASCII digits, spaces, tabs and line breaks) or declines, and a
+declined file, or one that fails a check, goes to `_parse_rows`, which
+reads whatever str.split and int accept and names every error.  The
+general reader is the reference, and the only reader on the numpy
+fallback.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+from . import kernels
 
 # _exact._FILTER_RTOL is derived for MAX_LEVEL * MAX_DIM <= 160
 MAX_LEVEL = 20
@@ -287,14 +297,13 @@ def coarsen(P: GridPointSet, level: int) -> GridPointSet:
 # A point-set file is a header `n k count`, then `count` lines of n
 # space-separated integers in lexicographic order; duplicate rows are
 # rejected on read.  A cube list (content.py) is one `level c_1 ... c_n`
-# line per cube, the same kind of row.  Both are written by `_format_rows`
-# and read by `_parse_rows`.
+# line per cube, the same kind of row.  Both are written by
+# `kernels.format_rows`.  A read tries `kernels.parse_rows` first; where it
+# declines, or the rows it reads fail a check, the general reader runs on
+# the file from the start, so every error keeps its type and message.
 
-
-def _format_rows(rows: np.ndarray) -> str:
-    """One line of space-separated integers per row of an integer array."""
-    line = " ".join(["%d"] * rows.shape[1]) + "\n"
-    return (line * len(rows)) % tuple(rows.ravel().tolist())
+# the first non-blank line of a file in the canonical form, and where it ends
+_FIRST_LINE = re.compile(rb"[ \t\r\n]*([^\r\n]*)")
 
 
 def _parse_rows(path, lines: list[str], width: int, what: str) -> np.ndarray:
@@ -311,10 +320,39 @@ def _parse_rows(path, lines: list[str], width: int, what: str) -> np.ndarray:
 
 
 def write_pointset(P: GridPointSet, path) -> None:
-    Path(path).write_text(f"{P.dim} {P.level} {len(P)}\n" + _format_rows(P.cells))
+    Path(path).write_text(f"{P.dim} {P.level} {len(P)}\n" + kernels.format_rows(P.cells))
+
+
+def _read_canonical_pointset(path) -> GridPointSet | None:
+    """The point set of a canonical file, read by the compiled row parser;
+    None where the parser declines the header or the rows, or where they
+    fail a check (row count, duplicates, range), so that the general reader
+    raises every error.  On the numpy fallback, whose parser declines
+    every file, the file is not read."""
+    if kernels.backend_name() == "python":
+        return None
+    data = Path(path).read_bytes()
+    head = _FIRST_LINE.match(data)
+    header = kernels.parse_rows(head.group(1), 3)
+    if header is None or len(header) != 1:
+        return None
+    dim, level, count = header[0].tolist()
+    if not 1 <= dim <= MAX_DIM:
+        return None
+    rows = kernels.parse_rows(memoryview(data)[head.end() :], dim)
+    if rows is None or len(rows) != count:
+        return None
+    try:
+        P = GridPointSet(dim, level, rows)
+    except ValueError:
+        return None
+    return P if len(P) == count else None
 
 
 def read_pointset(path) -> GridPointSet:
+    P = _read_canonical_pointset(path)
+    if P is not None:
+        return P
     lines = list(filter(str.strip, Path(path).read_text().splitlines()))
     if not lines:
         raise ValueError(f"{path}: empty point-set file")

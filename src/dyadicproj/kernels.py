@@ -1,13 +1,21 @@
-"""Backend selection for the hot pair kernels.
+"""Backend selection for the hot pair kernels and the row codec.
 
 The compiled kernels (_ckernels.c, built by setup.py and loaded with ctypes
-by _core) are used when the shared library is present; otherwise the numpy
-fallback (_core_py) takes over, with a RuntimeWarning at import.  Setting
-the environment variable DYADICPROJ_PURE_PYTHON=1 before import forces the
-fallback without a warning.  Both backends implement the same two
-functions: `pair_count`, one slab sweep with the same counting predicate
-for every m, so they return equal integers, and `riesz_row_sums`, the same
-Riesz terms added in the same order, so `riesz_pair_sum` is equal on both.
+by _core) are used when the shared library is present and current;
+otherwise the numpy fallback (_core_py) takes over, with a RuntimeWarning
+at import.  Setting the environment variable DYADICPROJ_PURE_PYTHON=1
+before import forces the fallback without a warning.  Both backends
+implement the same four functions: `pair_count`, one slab sweep with the
+same counting predicate for every m, so they return equal integers;
+`riesz_row_sums`, the same Riesz terms added in the same order, so
+`riesz_pair_sum` is equal on both; and the row codec of the text formats,
+`format_rows`, which writes the same text, and `parse_rows`, which either
+reads canonical rows or declines.  The fallback's parser declines every
+input; a declined read runs grid's general reader, the reference.
+
+At import time this module loads no other dyadicproj module but the two
+backends (`riesz_pair_sum` reads grid.MAX_DIM when called), so grid can
+import it to read and write its text formats.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ import warnings
 import numpy as np
 
 from . import _core, _core_py
-from .grid import MAX_DIM
 
 _compiled = _core.load()
 
@@ -27,9 +34,9 @@ if os.environ.get("DYADICPROJ_PURE_PYTHON"):
     _active = _core_py
 elif _compiled is None:
     warnings.warn(
-        "dyadicproj: compiled pair kernels not built (run `python setup.py "
-        "build_ext --inplace` or install with a C compiler); using the slower "
-        "numpy fallback",
+        "dyadicproj: compiled pair kernels not built, or built from an older "
+        "_ckernels.c (run `python setup.py build_ext --inplace` or install with "
+        "a C compiler); using the slower numpy fallback",
         RuntimeWarning,
     )
     _active = _core_py
@@ -41,11 +48,13 @@ __all__ = [
     "available_backends",
     "coincidence_count",
     "riesz_pair_sum",
+    "parse_rows",
+    "format_rows",
 ]
 
 
 def backend_name() -> str:
-    return "compiled" if _active is _compiled else "python"
+    return "python" if _active is _core_py else "compiled"
 
 
 def available_backends() -> dict:
@@ -89,6 +98,8 @@ def riesz_pair_sum(points: np.ndarray, power: int, backend=None) -> float:
     Twice the exactly rounded sum (math.fsum) of the backend's in-order row
     sums over j > i, so every backend returns the same float.
     """
+    from .grid import MAX_DIM  # at call time: grid imports this module
+
     impl = backend or _active
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
@@ -98,3 +109,18 @@ def riesz_pair_sum(points: np.ndarray, power: int, backend=None) -> float:
     if power < 1:
         raise ValueError("power must be a positive integer")
     return 2.0 * math.fsum(impl.riesz_row_sums(points, int(power)))
+
+
+def parse_rows(buf, width: int) -> np.ndarray | None:
+    """The (N, width) int64 rows of a bytes-like buffer, or None where the
+    backend declines it.  The compiled parser accepts only canonical rows:
+    the bytes 0-9, space, tab, CR and LF, blank lines skipped, and exactly
+    `width` tokens of at most 18 digits on every other line.  Where it
+    accepts, the rows equal what str.split and int read."""
+    return _active.parse_rows(buf, int(width))
+
+
+def format_rows(rows: np.ndarray) -> str:
+    """One line of space-separated integers per row of an integer array, as
+    "%d" formats each; the same text on every backend."""
+    return _active.format_rows(rows)

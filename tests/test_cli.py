@@ -220,6 +220,18 @@ class TestMultiscan:
         assert code == 2
         assert "violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slack", ["nan", "inf", "0", "-1"])
+    def test_slack_not_positive_and_finite_is_usage_error(self, tmp_path, capsys, slack):
+        # a NaN slack would switch the gate off, a negative one trip it everywhere
+        code = run(
+            ["multiscan", "--gen", "line:n=2,level=6", "--s", 1.0, "--eps", 0.1,
+             "--samples", 100, "--seed", 5, "--level-min", 6, "--level-max", 6,
+             "--slack", slack, "--out", tmp_path]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --slack must be positive and finite")
+        assert not list(tmp_path.iterdir())
+
     def test_empty_level_range_is_usage_error(self, tmp_path, capsys):
         code = run(
             ["multiscan", "--gen", CANTOR2, "--s", 1.0, "--eps", 0.1,

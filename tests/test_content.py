@@ -257,3 +257,10 @@ class TestCoverFormat:
         back = read_cover(path, 1.0)
         assert back.cubes == cover.cubes
         assert back.value == cover.value
+
+    @pytest.mark.parametrize("footer", ["value \n", "0 0\nvalue \n", "0 0\nvalue\n", "0 0\n"])
+    def test_footer_without_value_rejected(self, tmp_path, footer):
+        path = tmp_path / "cover.txt"
+        path.write_text(footer)
+        with pytest.raises(ValueError, match="missing value footer"):
+            read_cover(path, 1.0)

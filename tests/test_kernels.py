@@ -2,6 +2,8 @@ import math
 import shutil
 import subprocess
 import sys
+import sysconfig
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,32 @@ def test_missing_library_warns_at_import(tmp_path, pure, warns):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["python"]
     assert ("RuntimeWarning" in proc.stderr) == warns
+
+
+def test_library_without_row_codec_counts_as_not_built(tmp_path):
+    # a library built from an older _ckernels.c: only the two pair kernels
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the stub library")
+    (tmp_path / "stub.c").write_text(
+        "long long pair_count(const double *x, long long n, long long m, double d)"
+        " { return 0; }\n"
+        "int riesz_row_sums(const double *p, long long n, long long m, int k, double *o)"
+        " { return 0; }\n"
+    )
+    stub = tmp_path / "stub.so"
+    subprocess.run([cc, "-shared", "-fPIC", "-o", str(stub), str(tmp_path / "stub.c")],
+                   check=True, capture_output=True, timeout=60)
+    assert _core.load(stub) is None
+    src = Path(_core.__file__).parent
+    shutil.copytree(src, tmp_path / "dyadicproj", ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    shutil.copy(stub, tmp_path / "dyadicproj" / f"_ckernels{EXTENSION_SUFFIXES[0]}")
+    env = {"PATH": "", "PYTHONPATH": str(tmp_path), "DYADICPROJ_PURE_PYTHON": ""}
+    code = "from dyadicproj import kernels; print(kernels.backend_name())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["python"]
+    assert "RuntimeWarning: dyadicproj: compiled pair kernels not built" in proc.stderr
 
 
 def test_backend_reports_a_name():
