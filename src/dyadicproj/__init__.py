@@ -21,7 +21,6 @@ from .grid import (
     GridPointSet,
     build_cover_tree,
     coarsen,
-    covering_number,
     read_pointset,
     write_pointset,
 )
@@ -36,7 +35,6 @@ from .projection import (
     direction_scan,
     haar_sample,
     min_projection_cover,
-    pair_energy,
     project_points,
     riesz_sum,
     summary_line,

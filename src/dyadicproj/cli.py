@@ -18,6 +18,7 @@ from .content import optimal_cover, write_cover
 from .fractals import parse_generator_spec
 from .grid import GridPointSet, coarsen, read_pointset, write_pointset
 from .projection import (
+    _check_scan,
     _derived_seed,
     _over_budget,
     direction_scan,
@@ -216,6 +217,7 @@ def _cmd_multiscan(args) -> int:
             f"level range [{args.level_min}, {args.level_max}] invalid "
             f"for input at level {P.level}"
         )
+    _check_scan(P, args.s, args.eps, args.m)  # a scale whose net is empty scans nothing
     out = Path(args.out)
 
     rows = []

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from ._exact import ExponentContext
 from .grid import MAX_DIM, MAX_LEVEL, DyadicCube, GridPointSet, build_cover_tree
-from .grid import _FIRST_LINE, _parse_rows, _row_index, _unique_rows
+from .grid import _FIRST_LINE, _parse_rows, _row_index, _unique_rows, _validate_exponent
 
 __all__ = [
     "DyadicCover",
@@ -84,11 +84,6 @@ class DyadicCover:
     @property
     def cubes(self) -> tuple[DyadicCube, ...]:
         return tuple(DyadicCube(r[0], tuple(r[1:])) for r in self.rows.tolist())
-
-
-def _validate_exponent(P: GridPointSet, s: float) -> None:
-    if not 0.0 < s <= P.dim:
-        raise ValueError(f"exponent s={s} outside (0, {P.dim}]")
 
 
 def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:

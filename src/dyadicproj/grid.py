@@ -1,4 +1,4 @@
-"""Exact dyadic-grid primitives: cubes, integer point sets, cover trees, covering numbers.
+"""Exact dyadic-grid primitives: cubes, integer point sets and their cover trees.
 
 Everything lives on the unit cube [0,1]^n discretized at a resolution level
 k, so a cell is an n-vector of integers in [0, 2^k) and represents the point
@@ -45,7 +45,6 @@ __all__ = [
     "GridPointSet",
     "CoverTree",
     "build_cover_tree",
-    "covering_number",
     "coarsen",
     "read_pointset",
     "write_pointset",
@@ -193,6 +192,11 @@ class GridPointSet:
         )
 
 
+def _validate_exponent(P: GridPointSet, s: float) -> None:
+    if not 0.0 < s <= P.dim:
+        raise ValueError(f"exponent s={s} outside (0, {P.dim}]")
+
+
 @dataclass(frozen=True)
 class CoverTree:
     """Sparse occupied dyadic tree over a point set with per-node cell counts.
@@ -263,16 +267,6 @@ def build_cover_tree(P: GridPointSet) -> CoverTree:
     if "_tree" not in P.__dict__:
         P.__dict__["_tree"] = _build_tree(P)
     return P.__dict__["_tree"]
-
-
-def covering_number(P: GridPointSet, j: int) -> int:
-    """Number of level-j dyadic cubes containing at least one cell of P.
-
-    Monotone non-increasing as j decreases (coarser cubes).
-    """
-    if not 0 <= j <= P.level:
-        raise ValueError(f"level {j} outside [0, {P.level}]")
-    return len(build_cover_tree(P).levels[j]) if len(P) else 0
 
 
 def coarsen(P: GridPointSet, level: int) -> GridPointSet:

@@ -45,7 +45,6 @@ else:
 
 __all__ = [
     "backend_name",
-    "available_backends",
     "coincidence_count",
     "riesz_pair_sum",
     "parse_rows",
@@ -55,13 +54,6 @@ __all__ = [
 
 def backend_name() -> str:
     return "python" if _active is _core_py else "compiled"
-
-
-def available_backends() -> dict:
-    out = {"python": _core_py}
-    if _compiled is not None:
-        out["compiled"] = _compiled
-    return out
 
 
 def _sorted_by_first(coords: np.ndarray, copy: bool = True) -> np.ndarray:
@@ -76,7 +68,7 @@ def _sorted_by_first(coords: np.ndarray, copy: bool = True) -> np.ndarray:
     return coords
 
 
-def coincidence_count(coords: np.ndarray, delta: float, backend=None) -> int:
+def coincidence_count(coords: np.ndarray, delta: float) -> int:
     """Ordered pairs (diagonal included) of rows within Euclidean distance delta.
 
     A pair is close when its squared differences, summed over the
@@ -85,14 +77,13 @@ def coincidence_count(coords: np.ndarray, delta: float, backend=None) -> int:
     stable: the predicate is symmetric bit for bit and its sum is never below
     the first coordinate's square, so tied rows may come in any order.
     """
-    impl = backend or _active
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] == 0:
         raise ValueError("coords must be a 2-D array with at least one column")
-    return int(impl.pair_count(_sorted_by_first(coords), float(delta)))
+    return int(_active.pair_count(_sorted_by_first(coords), float(delta)))
 
 
-def riesz_pair_sum(points: np.ndarray, power: int, backend=None) -> float:
+def riesz_pair_sum(points: np.ndarray, power: int) -> float:
     """Sum of |x - y|^-power over ordered pairs of distinct rows.
 
     Twice the exactly rounded sum (math.fsum) of the backend's in-order row
@@ -100,7 +91,6 @@ def riesz_pair_sum(points: np.ndarray, power: int, backend=None) -> float:
     """
     from .grid import MAX_DIM  # at call time: grid imports this module
 
-    impl = backend or _active
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("need a 2-D array with at least two rows")
@@ -108,7 +98,7 @@ def riesz_pair_sum(points: np.ndarray, power: int, backend=None) -> float:
         raise ValueError(f"points must have 1 to {MAX_DIM} coordinates")
     if power < 1:
         raise ValueError("power must be a positive integer")
-    return 2.0 * math.fsum(impl.riesz_row_sums(points, int(power)))
+    return 2.0 * math.fsum(_active.riesz_row_sums(points, int(power)))
 
 
 def parse_rows(buf, width: int) -> np.ndarray | None:

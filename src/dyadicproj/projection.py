@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from ._exact import _ceil_pow2, _cmp_pow2, snap_exponent
-from .grid import GridPointSet, _unique_rows, build_cover_tree
+from .grid import GridPointSet, _unique_rows, _validate_exponent, build_cover_tree
 
 __all__ = [
     "Plane",
@@ -37,7 +37,6 @@ __all__ = [
     "RieszResult",
     "haar_sample",
     "project_points",
-    "pair_energy",
     "riesz_sum",
     "min_projection_cover",
     "classify_direction",
@@ -99,21 +98,6 @@ def project_points(V: Plane, P: GridPointSet) -> np.ndarray:
     if V.n != P.dim:
         raise ValueError(f"plane lives in R^{V.n}, points in R^{P.dim}")
     return P.centers() @ V.frame.T
-
-
-def pair_energy(P: GridPointSet, V: Plane, delta: float | None = None) -> int:
-    """Ordered pairs (diagonal included) whose projections are within delta.
-
-    Defaults delta to the grid scale 2^-P.level.  Always at least |P|, and
-    exactly |P|^2 when all projections collapse into one delta-ball.
-    """
-    if delta is None:
-        delta = P.delta
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if len(P) == 0:
-        return 0
-    return kernels.coincidence_count(project_points(V, P), delta)
 
 
 class RieszResult(NamedTuple):
@@ -219,6 +203,16 @@ def _energy_threshold(
     return threshold, 2 * frac_s + 4 * frac_eps - min(frac_s, m)
 
 
+def _check_scan(P: GridPointSet, s: float, eps: float, m: int) -> None:
+    """The range the dichotomy speaks about: 0 < s <= n, 0 < eps < s and
+    0 < m < n."""
+    _validate_exponent(P, s)
+    if not 0.0 < eps < s:
+        raise ValueError(f"need 0 < eps < s, got eps={eps} s={s}")
+    if not 0 < m < P.dim:
+        raise ValueError(f"need 0 < m < n, got m={m} n={P.dim}")
+
+
 class ClassifiedDirection(NamedTuple):
     label: str  # "good" or "bad"
     energy: int
@@ -241,8 +235,7 @@ def classify_direction(
     """
     if len(P) == 0:
         raise ValueError("cannot classify directions for an empty set")
-    if not 0.0 < eps < s:
-        raise ValueError(f"need 0 < eps < s, got eps={eps} s={s}")
+    _check_scan(P, s, eps, V.m)
     coords = kernels._sorted_by_first(project_points(V, P), copy=False)
     energy = kernels.coincidence_count(coords, P.delta)
     n_boundary, min_cover = _bin_profile(coords, P.delta, kappa)
@@ -347,10 +340,13 @@ def direction_scan(
     capped at |P|: the subset size the classification speaks about.  Direction
     i draws from a stream derived from (master_seed, i), so the report is
     identical for any worker count.  The mean sampled energy is reported
-    next to its geometric ceiling 2^n * (delta^m * riesz + |P|).
+    next to its geometric ceiling 2^n * (delta^m * riesz + |P|).  s, eps
+    and m are checked before any direction is drawn, so a scan of no
+    directions refuses what a scan of many would.
     """
     if num_samples < 0:
         raise ValueError("num_samples must be >= 0")
+    _check_scan(P, s, eps, m)
     delta = P.delta
     n_pts = len(P)
     kappa = _subset_size(P.level, s, eps, n_pts)

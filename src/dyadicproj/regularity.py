@@ -12,6 +12,7 @@ from below by the set's dyadic content.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import _ceil_pow2, snap_exponent
-from .content import _validate_exponent, _write_cubes, optimal_cover
-from .grid import GridPointSet, _row_index, build_cover_tree, write_pointset
+from .content import _write_cubes, optimal_cover
+from .grid import GridPointSet, _row_index, _validate_exponent, build_cover_tree, write_pointset
 
 __all__ = [
     "Decomposition",
@@ -125,8 +126,8 @@ def heavy_decompose(
         raise ValueError(f"tau={tau} outside (0, 1]")
     if L is None:
         L = max(1.0, 2.0 / tau)
-    if L < 1.0:
-        raise ValueError(f"L={L} must be >= 1")
+    if not 1.0 <= L < math.inf:
+        raise ValueError(f"L={L} must be finite and >= 1")
     if len(P) == 0:
         empty = GridPointSet.empty(P.dim, P.level)
         no_cubes = np.empty((0, 1 + P.dim), dtype=np.int64)

@@ -115,6 +115,20 @@ def pair_energy_oracle(coords: np.ndarray, delta: float) -> int:
     return 2 * close + len(rows)
 
 
+def pair_energy_blocks(coords: np.ndarray, delta: float) -> int:
+    """pair_energy_oracle with every pair j > i tested in numpy blocks of
+    256 rows: the same predicate and additions, fast enough for 4,096 rows."""
+    coords = np.asarray(coords, dtype=np.float64)
+    close = 0
+    for a in range(0, len(coords), 256):
+        diff = coords[a : a + 256, None, :] - coords[None, a:, :]
+        acc = np.zeros(diff.shape[:2])
+        for t in range(coords.shape[1]):
+            acc += diff[..., t] * diff[..., t]
+        close += int(np.count_nonzero(np.triu(acc <= delta * delta, 1)))
+    return 2 * close + len(coords)
+
+
 def spread_constant_oracle(P: GridPointSet, s: float) -> float:
     """Scan every dyadic cube of every level by explicit membership."""
     if len(P) == 0:

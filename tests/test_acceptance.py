@@ -26,7 +26,6 @@ from dyadicproj.projection import (
     direction_scan,
     haar_sample,
     min_projection_cover,
-    pair_energy,
     project_points,
     riesz_sum,
 )
@@ -36,6 +35,7 @@ from conftest import (
     coincidence_probability_mc,
     min_bins_oracle,
     min_cover_value_oracle,
+    pair_energy_blocks,
     random_subset,
 )
 
@@ -234,3 +234,37 @@ def test_criterion_9_multiscan_reproducibility(tmp_path):
         assert b1 == b8, f"{name} differs between worker counts"
     dt = time.time() - t0
     report(9, dt < 120, f"multiscan outputs byte-identical for workers 1 and 8 ({dt:.1f}s)")
+
+
+def test_criterion_10_m_plane_dichotomy():
+    # the paper's statement for m-planes in R^n: Cantor products of natural
+    # dimension n/2, scanned at s = n/2 over lines and planes of every size
+    t0 = time.time()
+    eps = 0.1
+    worst = 0.0
+    for n, m in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        P = gen_cantor_product(CantorPattern(4, ((0, 3),) * n), 4 if n == 3 else 3)
+        assert len(P) == 4096
+        s = n / 2
+        rep = direction_scan(P, s=s, eps=eps, num_samples=100, master_seed=1, m=m)
+        assert rep.bad_fraction <= rep.budget, (
+            f"(n, m) = ({n}, {m}): bad fraction {rep.bad_fraction} over budget {rep.budget}"
+        )
+        worst = max(worst, rep.bad_fraction / rep.budget)
+        floor = rep.delta ** (-min(s, m) + 6 * eps)
+        for r in rep.per_direction:
+            # Cauchy-Schwarz: kappa points in min_cover bins of diameter delta
+            assert rep.kappa**2 <= r.energy * r.min_cover, f"({n}, {m}) direction {r.index}"
+            if r.label == "good":
+                assert r.min_cover >= floor, f"({n}, {m}) direction {r.index}: {r.min_cover}"
+        # the energy the dichotomy speaks about, every pair tested, where it is largest
+        top = max(rep.per_direction, key=lambda r: r.energy)
+        coords = project_points(Plane(n, m, top.frame), P)
+        assert top.energy == pair_energy_blocks(coords, P.delta), f"({n}, {m})"
+    dt = time.time() - t0
+    report(
+        10,
+        dt < 60,
+        f"m-plane scans of 4,096-cell Cantor products in R^3 and R^4 within budget "
+        f"(worst bad_fraction/budget {worst:.2f}), good covers above the floor ({dt:.1f}s)",
+    )

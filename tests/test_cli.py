@@ -107,6 +107,19 @@ class TestDecompose:
         assert int(words[words.index("good") + 1]) > 0
         assert words[words.index("budget") + 1] == "0.5"  # 1 / (tau * L)
 
+    @pytest.mark.parametrize("command", ["decompose", "multiscan"])
+    @pytest.mark.parametrize("big_l", ["nan", "inf"])
+    def test_big_l_not_finite_is_usage_error(self, tmp_path, capsys, command, big_l):
+        # a NaN L switched heavy pruning off: good 64 bad 0, where L = 1 prunes all 64
+        argv = [command, "--gen", "cluster:n=2,level=6,cube_level=3", "--s", 1.0,
+                "--big-l", big_l, "--out", tmp_path]
+        if command == "multiscan":
+            argv += ["--eps", 0.1, "--samples", 5, "--seed", 1,
+                     "--level-min", 6, "--level-max", 6]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: L={big_l} must be finite")
+        assert not list(tmp_path.iterdir())
+
 
 class TestScan:
     def test_scan_writes_reports(self, tmp_path, capsys):
@@ -124,6 +137,21 @@ class TestScan:
             ["scan", "--gen", CANTOR2, "--s", 1.0, "--eps", 0.1,
              "--samples", 5, "--out", tmp_path]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--samples", 0, "--m", 5], "need 0 < m < n, got m=5 n=2"),
+            (["--samples", 0, "--s", 1.0, "--eps", 2.0], "need 0 < eps < s"),
+            (["--samples", 3, "--s", 5.0, "--eps", 0.1], "exponent s=5.0 outside (0, 2]"),
+        ],
+    )
+    def test_parameters_checked_before_sampling(self, tmp_path, capsys, argv, message):
+        # each exited 0 with a report; multiscan already refused the same s
+        base = ["scan", "--gen", CANTOR2, "--seed", 4, "--s", 1.0, "--eps", 0.1]
+        assert run(base + argv + ["--out", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not list(tmp_path.iterdir())
 
 
 class TestMultiscan:
@@ -191,6 +219,18 @@ class TestMultiscan:
             for name in ("bad_fraction", "mean_energy", "energy_bound"):
                 assert float(row[col[name]]) == 0.0
         assert not list(tmp_path.glob("scale*_scan.txt"))
+
+    @pytest.mark.parametrize("argv", [["--eps", 5], ["--m", 7]])
+    def test_parameters_checked_with_every_net_empty(self, tmp_path, capsys, argv):
+        # no scale scans, so no direction_scan call is left to refuse them
+        code = run(
+            ["multiscan", "--gen", "point:n=2,level=5", "--s", 1.0, "--eps", 0.1,
+             "--samples", 5, "--seed", 1, "--level-min", 1, "--level-max", 5,
+             "--out", tmp_path, *argv]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: need 0 <")
+        assert not list(tmp_path.iterdir())
 
     def test_one_gate_decides_exit_code_and_summary(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -294,8 +334,7 @@ class TestUsage:
         # runpy's "'dyadicproj.cli' found in sys.modules" when the package
         # imports cli.
         stderr = done.stderr
-        if ("compiled" not in kernels.available_backends()
-                and not os.environ.get("DYADICPROJ_PURE_PYTHON")):
+        if kernels._compiled is None and not os.environ.get("DYADICPROJ_PURE_PYTHON"):
             stderr, warned = re.subn(
                 r"^.*kernels\.py:\d+: RuntimeWarning: dyadicproj: compiled pair "
                 r"kernels not built.*\n(?:[ \t].*\n)*",

@@ -9,7 +9,6 @@ from dyadicproj.grid import (
     _unique_rows,
     build_cover_tree,
     coarsen,
-    covering_number,
     read_pointset,
     write_pointset,
 )
@@ -96,7 +95,7 @@ class TestWideRows:
         assert P.cells.tolist() == [list(c) for c in A]
         assert Q.cells.tolist() == [list(c) for c in B]
         for j in range(level + 1):
-            assert covering_number(P, j) == len(cell_tuples(a >> (level - j)))
+            assert len(build_cover_tree(P).levels[j]) == len(cell_tuples(a >> (level - j)))
         assert P.issubset(Q) == (set(A) <= set(B))
         assert GridPointSet(dim, level, a[::2]).issubset(P)
         assert P.issubset(P.union(Q))
@@ -116,7 +115,7 @@ class TestWideRows:
                 build_cover_tree(coarsen(E, j))
         P = GridPointSet.from_cells(dim, 20, [(5,) * dim])
         assert E.cells.shape == (0, dim)
-        assert covering_number(E, 3) == 0
+        assert len(coarsen(E, 3)) == 0
         assert E.issubset(P) and not P.issubset(E)
         assert (5,) * dim not in E
 
@@ -190,39 +189,40 @@ class TestWideRows:
             assert np.array_equal(inverse, want_inverse.ravel())
 
 
+def _level_sizes(P: GridPointSet) -> list[int]:
+    """Covering numbers of P, levels 0 to P.level: the occupied cubes of each
+    level of its cover tree, checked against the tuple oracle."""
+    sizes = [len(q) for q in build_cover_tree(P).levels]
+    assert sizes == [len(q) for q in cover_tree_oracle(P)[0]]
+    return sizes
+
+
 class TestCoveringNumber:
     def test_single_cell_any_level(self):
         P = GridPointSet.from_cells(2, 3, [(6, 1)])
-        for j in range(4):
-            assert covering_number(P, j) == 1
+        assert _level_sizes(P) == [1, 1, 1, 1]
 
     def test_empty(self):
         P = GridPointSet.empty(2, 3)
-        assert covering_number(P, 2) == 0
+        assert all(len(coarsen(P, j)) == 0 for j in range(4))
+        with pytest.raises(ValueError):
+            build_cover_tree(P)
 
     def test_full_level2_grid(self):
         cells = [(i, j) for i in range(4) for j in range(4)]
         P = GridPointSet.from_cells(2, 2, cells)
-        assert covering_number(P, 1) == 4  # brute-force: all 4 level-1 cubes hit
-        assert covering_number(P, 2) == len(P)
-
-    def test_argument_validation(self):
-        P = GridPointSet.from_cells(1, 2, [(0,)])
-        with pytest.raises(ValueError):
-            covering_number(P, 3)
-        with pytest.raises(ValueError):
-            covering_number(P, -1)
+        # brute force: all 4 level-1 cubes hit, and every cell at level 2
+        assert _level_sizes(P) == [1, 4, len(P)]
 
     def test_sandwich_property(self, rng):
         for _ in range(25):
             dim = int(rng.integers(1, 3))
             level = int(rng.integers(1, 5 if dim == 2 else 7))
             P = random_subset(rng, dim, level)
-            for j in range(level):
-                lo = covering_number(P, j)
-                hi = covering_number(P, j + 1)
+            sizes = _level_sizes(P)
+            for lo, hi in zip(sizes, sizes[1:]):
                 assert lo <= hi <= (2**dim) * lo
-            assert covering_number(P, level) == len(P)
+            assert sizes[level] == len(P)
 
 
 class TestCoarsen:

@@ -11,12 +11,7 @@ import pytest
 
 from dyadicproj import _core, _core_py, kernels
 from dyadicproj.grid import GridPointSet
-from dyadicproj.kernels import (
-    available_backends,
-    backend_name,
-    coincidence_count,
-    riesz_pair_sum,
-)
+from dyadicproj.kernels import backend_name, coincidence_count, riesz_pair_sum
 from dyadicproj.projection import Plane, project_points
 
 from conftest import pair_energy_oracle
@@ -62,7 +57,6 @@ def test_library_without_row_codec_counts_as_not_built(tmp_path):
 
 def test_backend_reports_a_name():
     assert backend_name() in ("compiled", "python")
-    assert "python" in available_backends()
 
 
 def _lattice_centers(rng, dim: int, n: int) -> np.ndarray:
@@ -75,7 +69,7 @@ def _lattice_centers(rng, dim: int, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
-def test_backends_agree_on_riesz_exactly(impls, dim):
+def test_backends_agree_on_riesz_exactly(impls, dim, monkeypatch):
     # sizes around the C lane width (8), and rows about 2048 long
     rng = np.random.default_rng(70 + dim)
     for n in (2, 7, 8, 9, 2047, 2048, 2049):
@@ -85,8 +79,9 @@ def test_backends_agree_on_riesz_exactly(impls, dim):
             assert np.array_equal(rows[0], rows[1])
             assert rows[0][-1] == 0.0
             if n < 100:
-                got = {riesz_pair_sum(pts, power, backend=impl) for impl in impls.values()}
-                assert got == {2.0 * math.fsum(rows[0])}
+                for impl in impls.values():
+                    monkeypatch.setattr(kernels, "_active", impl)
+                    assert riesz_pair_sum(pts, power) == 2.0 * math.fsum(rows[0])
 
 
 def riesz_oracle(pts: np.ndarray, power: int) -> float:
@@ -111,21 +106,23 @@ def riesz_oracle(pts: np.ndarray, power: int) -> float:
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
-def test_riesz_matches_in_order_oracle(impls, dim):
+def test_riesz_matches_in_order_oracle(impls, dim, monkeypatch):
     rng = np.random.default_rng(90 + dim)
     for n in (2, 9, 40):
         for pts in (rng.random((n, dim)), _lattice_centers(rng, dim, n)):
             for power in sorted({1, 2, dim}):
                 want = riesz_oracle(pts, power)
                 for impl in impls.values():
-                    assert riesz_pair_sum(pts, power, backend=impl) == want
+                    monkeypatch.setattr(kernels, "_active", impl)
+                    assert riesz_pair_sum(pts, power) == want
 
 
-def test_riesz_dimension_limit(impls):
+def test_riesz_dimension_limit(impls, monkeypatch):
     pts = np.random.default_rng(3).random((5, 9))
     for impl in impls.values():
+        monkeypatch.setattr(kernels, "_active", impl)
         with pytest.raises(ValueError, match="coordinates"):
-            riesz_pair_sum(pts, 1, backend=impl)
+            riesz_pair_sum(pts, 1)
     with pytest.raises(ValueError, match="coordinates"):
         impls["compiled"].riesz_row_sums(pts, 1)
 
@@ -239,23 +236,24 @@ def test_backends_agree_on_pair_counts(impls, m):
 
 
 @pytest.mark.parametrize("dim,m", [(2, 1), (3, 2)])
-def test_count_ignores_order_of_first_coordinate_ties(impls, dim, m):
+def test_count_ignores_order_of_first_coordinate_ties(impls, dim, m, monkeypatch):
     rng = np.random.default_rng(40 + dim)
     frame = np.array(TIE_FRAMES[dim, m][1], dtype=float)
     centers = _lattice_centers(rng, dim, 2000)
     coords = centers @ frame.T
     delta = np.sqrt(2.0) * _cell_side(centers)
     for impl in impls.values():
-        want = coincidence_count(coords, delta, backend=impl)
+        monkeypatch.setattr(kernels, "_active", impl)
+        want = coincidence_count(coords, delta)
         for _ in range(5):
             # random order within each run of equal first coordinates
             tied = np.lexsort((rng.random(len(coords)), coords[:, 0]))
             assert impl.pair_count(np.ascontiguousarray(coords[tied]), delta) == want
-            assert coincidence_count(coords[rng.permutation(len(coords))], delta, backend=impl) == want
+            assert coincidence_count(coords[rng.permutation(len(coords))], delta) == want
 
 
 @pytest.mark.parametrize("dim,m", sorted(TIE_FRAMES))
-def test_tie_heavy_frames_count_symmetrically(impls, dim, m):
+def test_tie_heavy_frames_count_symmetrically(impls, dim, m, monkeypatch):
     rng = np.random.default_rng(10 * dim + m)
     for trial in range(60):
         level = int(rng.integers(1, 4))
@@ -267,11 +265,13 @@ def test_tie_heavy_frames_count_symmetrically(impls, dim, m):
             for delta in (scale, np.nextafter(scale, 0.0), np.nextafter(scale, 1.0)):
                 want = pair_energy_oracle(coords, delta)
                 for impl in impls.values():
-                    got = coincidence_count(coords, delta, backend=impl)
+                    monkeypatch.setattr(kernels, "_active", impl)
+                    got = coincidence_count(coords, delta)
                     assert (got - len(P)) % 2 == 0
                     assert got == want
 
 
-def test_python_backend_explicit():
+def test_python_backend_explicit(monkeypatch):
+    monkeypatch.setattr(kernels, "_active", _core_py)
     pts = np.array([[0.1], [0.2], [0.9]])
-    assert coincidence_count(pts, 0.15, backend=_core_py) == 5
+    assert coincidence_count(pts, 0.15) == 5

@@ -23,7 +23,6 @@ from dyadicproj.projection import (
     direction_scan,
     haar_sample,
     min_projection_cover,
-    pair_energy,
     project_points,
     riesz_sum,
     summary_line,
@@ -144,21 +143,21 @@ class TestPairEnergy:
     def test_total_collapse(self):
         P = gen_degenerate("line", n=2, level=4)
         V = Plane(2, 1, np.array([[0.0, 1.0]]))
-        assert pair_energy(P, V) == len(P) ** 2
+        assert kernels.coincidence_count(project_points(V, P), P.delta) == len(P) ** 2
 
     def test_spacing_two_delta(self):
         # three points at projected spacing 2*delta: diagonal only
         P = GridPointSet.from_cells(2, 4, [(0, 0), (2, 0), (4, 0)])
         V = Plane(2, 1, np.array([[1.0, 0.0]]))
-        assert pair_energy(P, V) == 3
+        assert kernels.coincidence_count(project_points(V, P), P.delta) == 3
 
     def test_matches_oracle(self, rng):
         for _ in range(10):
             P = random_subset(rng, 2, 3)
             V = haar_sample(2, 1, rng)
             delta = float(rng.uniform(0.01, 0.5))
-            want = pair_energy_oracle(project_points(V, P), delta)
-            assert pair_energy(P, V, delta) == want
+            coords = project_points(V, P)
+            assert kernels.coincidence_count(coords, delta) == pair_energy_oracle(coords, delta)
 
     def test_split_into_strict_part_plus_diagonal(self, rng):
         for _ in range(10):
@@ -172,14 +171,14 @@ class TestPairEnergy:
                 for j in range(len(P))
                 if i != j and np.linalg.norm(coords[i] - coords[j]) <= delta
             )
-            assert pair_energy(P, V, delta) == strict + len(P)
+            assert kernels.coincidence_count(coords, delta) == strict + len(P)
 
     def test_m2_projection_energy(self, rng):
         P = random_subset(rng, 3, 2)
         V = haar_sample(3, 2, rng)
         delta = 0.2
-        want = pair_energy_oracle(project_points(V, P), delta)
-        assert pair_energy(P, V, delta) == want
+        coords = project_points(V, P)
+        assert kernels.coincidence_count(coords, delta) == pair_energy_oracle(coords, delta)
 
 
 class TestRieszSum:
@@ -229,7 +228,7 @@ class TestMinProjectionCover:
         V = haar_sample(2, 1, rng)
         assert min_projection_cover(P, V, kappa=1) == 1
 
-    def test_kappa_full_equals_covering_number(self):
+    def test_kappa_full_counts_every_occupied_bin(self):
         P = gen_degenerate("line", n=2, level=6)
         V = Plane(2, 1, np.array([[1.0, 0.0]]))
         assert min_projection_cover(P, V, kappa=len(P)) == len(P)
@@ -280,7 +279,8 @@ class TestMinProjectionCover:
             V = haar_sample(2, 1, rng)
             kappa = int(rng.integers(1, len(P) + 1))
             cover = min_projection_cover(P, V, kappa=kappa)
-            assert pair_energy(P, V) >= kappa**2 / cover - 1e-9
+            energy = kernels.coincidence_count(project_points(V, P), P.delta)
+            assert energy >= kappa**2 / cover - 1e-9
 
 
 class TestBinProfile:
@@ -396,6 +396,18 @@ class TestDirectionScan:
         P = gen_cantor_product(CANTOR2, 2)
         rep = direction_scan(P, num_samples=0, master_seed=1)
         assert rep.per_direction == () and rep.bad_fraction == 0.0
+
+    @pytest.mark.parametrize(
+        "samples,s,eps,m,match",
+        [(0, 5.0, 0.1, 1, "exponent"), (3, 5.0, 0.1, 1, "exponent"), (0, 1.0, 2.0, 1, "eps"),
+         (0, 1.0, 0.0, 1, "eps"), (0, 1.0, 0.1, 5, "m=5"), (0, 1.0, 0.1, 0, "m=0")],
+    )
+    def test_parameters_checked_before_sampling(self, samples, s, eps, m, match):
+        # a scan of no directions refuses what a scan of some would, and
+        # s > n is refused as content and multiscan refuse it
+        P = gen_cantor_product(CANTOR2, 2)
+        with pytest.raises(ValueError, match=match):
+            direction_scan(P, s=s, eps=eps, num_samples=samples, master_seed=1, m=m)
 
     def test_deterministic_across_workers(self, tmp_path):
         P = gen_cantor_product(CANTOR2, 3)
@@ -561,7 +573,8 @@ class TestDirectionScan:
         assert rep.mean_energy <= rep.energy_bound
         for r in rep.per_direction:
             assert r.frame.shape == (2, 3)
-            assert pair_energy(P, Plane(3, 2, r.frame)) == r.energy
+            coords = project_points(Plane(3, 2, r.frame), P)
+            assert kernels.coincidence_count(coords, P.delta) == r.energy
 
     def test_collapsed_ball_energy_for_any_direction(self, rng):
         # two cells whose centers sit within one grid step: projections of
@@ -569,7 +582,7 @@ class TestDirectionScan:
         P = GridPointSet.from_cells(2, 10, [(0, 0), (1, 0)])
         for _ in range(5):
             V = haar_sample(2, 1, rng)
-            assert pair_energy(P, V) == len(P) ** 2
+            assert kernels.coincidence_count(project_points(V, P), P.delta) == len(P) ** 2
 
     def test_report_header_constant_lines(self, tmp_path):
         # written without report fields: 1, and 2^n

@@ -127,6 +127,13 @@ class TestHeavyDecompose:
         with pytest.raises(ValueError):
             heavy_decompose(P, 1.0, 1.0, L=2.0, tau=0.0)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf])
+    def test_big_l_not_finite_rejected(self, L):
+        # a NaN L would pass an `L < 1` test and switch heavy pruning off
+        P = gen_degenerate("cluster", n=2, level=6, cube_level=3)
+        with pytest.raises(ValueError, match="finite"):
+            heavy_decompose(P, 1.0, len(P) * 2.0**-6, L=L)
+
     def test_precondition_warning(self):
         P = gen_degenerate("line", n=1, level=6)
         with pytest.warns(UserWarning, match="exceeds"):
