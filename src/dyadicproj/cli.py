@@ -158,8 +158,7 @@ def _cmd_spread(args) -> int:
 
 def _cmd_decompose(args) -> int:
     P = _load_points(args.input, args.gen, args.seed)
-    C = len(P) * 2.0 ** (-P.level * args.s)
-    dec = heavy_decompose(P, args.s, C, args.big_l, args.tau)
+    dec = heavy_decompose(P, args.s, None, args.big_l, args.tau)
     out = Path(args.out)
     for name in ("good.txt", "bad.txt", "heavy.txt"):
         _out_file(out, name, args.force)
@@ -203,8 +202,9 @@ def _cmd_multiscan(args) -> int:
     eps-budget.
 
     Per scale j: coarsen the input to level j, prune heavy cubes (cell-count
-    normalization C = |P_j| * 2^(-j*s)), then Monte-Carlo the direction
-    classification on the surviving regular part.  A scale violates when
+    normalization C = |P_j| * 2^(-j*s), heavy_decompose's default, as in
+    `decompose`), then Monte-Carlo the direction classification on the
+    surviving regular part.  A scale violates when
     bad_fraction > budget * --slack (`_over_budget`, exact when eps snaps);
     any violation exits 2.
     """
@@ -229,8 +229,7 @@ def _cmd_multiscan(args) -> int:
         _out_file(out, f"scale{j}_scan.csv", args.force)
         Pj = coarsen(P, j)
         delta = 2.0**-j
-        C = len(Pj) * delta**args.s
-        dec = heavy_decompose(Pj, args.s, C, args.big_l, args.tau)
+        dec = heavy_decompose(Pj, args.s, None, args.big_l, args.tau)
         write_decomposition(dec, out, prefix=f"scale{j}_")
         write_pointset(Pj, out / f"scale{j}_points.txt")
         cover = optimal_cover(Pj, args.s)

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from ._exact import ExponentContext
 from .grid import MAX_DIM, MAX_LEVEL, DyadicCube, GridPointSet, build_cover_tree
-from .grid import _FIRST_LINE, _parse_rows, _row_index, _unique_rows, _validate_exponent
+from .grid import _FIRST_LINE, _lines, _parse_rows, _row_index, _unique_rows, _validate_exponent
 
 __all__ = [
     "DyadicCover",
@@ -127,7 +127,8 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
 # One line `level c_1 ... c_n` per cube, the cover's rows in (level, coords)
 # order, then a footer `value <decimal>`.  A decomposition's heavy-cube
 # list has it too.  As for point sets (grid), a read tries the compiled row
-# parser first and runs the general reader where it declines.
+# parser on the rows above a footer that _write_cubes writes, and runs the
+# general reader on the decoded lines only where that declines.
 
 # a footer as _write_cubes writes it
 _FOOTER = re.compile(rb"value ([-+.0-9e]+)")
@@ -142,39 +143,21 @@ def write_cover(cover: DyadicCover, path) -> None:
     _write_cubes(cover.rows, cover.value, path)
 
 
-def _read_canonical_cover(path, s: float) -> DyadicCover | None:
-    """The cover of a canonical file, its rows read by the compiled row
-    parser; None where the parser declines, the footer is not one that
-    _write_cubes writes, there are no rows, or the cover fails a check, so
-    that the general reader raises every error.  On the numpy fallback,
-    whose parser declines every file, the file is not read."""
-    if kernels.backend_name() == "python":
-        return None
+def read_cover(path, s: float) -> DyadicCover:
     data = Path(path).read_bytes()
     end = len(data.rstrip(b" \t\r\n"))
     start = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
-    footer = _FOOTER.fullmatch(data, start, end)
-    if footer is None:
-        return None
-    width = len(_FIRST_LINE.match(data).group(1).split())
-    rows = kernels.parse_rows(memoryview(data)[:start], width)
-    if rows is None or not len(rows):
-        return None
-    try:
-        return DyadicCover(rows, s, float(footer.group(1)))
-    except ValueError:
-        return None
-
-
-def read_cover(path, s: float) -> DyadicCover:
-    cover = _read_canonical_cover(path, s)
-    if cover is not None:
-        return cover
-    lines = list(filter(str.strip, Path(path).read_text().splitlines()))
+    rows = None
+    if _FOOTER.fullmatch(data, start, end):
+        width = len(_FIRST_LINE.match(data).group(1).split())
+        rows = kernels.parse_rows(memoryview(data)[:start], width)
+    # the footer line alone where the parser read the rows above it
+    lines = _lines(data) if rows is None else [data[start:end].decode()]
     footer = lines[-1].split() if lines and lines[-1].startswith("value ") else []
     if len(footer) < 2:
         raise ValueError(f"{path}: missing value footer")
     value = float(footer[1])
-    width = len(lines[0].split())
-    rows = _parse_rows(path, lines[:-1], width, f"a level and {width - 1} coordinates")
+    if rows is None:
+        width = len(lines[0].split())
+        rows = _parse_rows(path, lines[:-1], width, f"a level and {width - 1} coordinates")
     return DyadicCover(rows, s, value)

@@ -146,40 +146,54 @@ def gen_degenerate(kind: str, **params) -> GridPointSet:
     raise ValueError(f"unknown degenerate kind {kind!r}")
 
 
+# each spec kind's keys, with the defaults of those that may be left out
+_SPEC_KEYS: dict[str, dict[str, str | None]] = {
+    "cantor": {"keep": "0|3", "base": "4", "dims": "1", "iters": "1"},
+    "random": {"n": None, "s": None, "level": None},
+    "line": {"n": None, "level": None},
+    "cluster": {"n": None, "level": None, "cube_level": None},
+    "point": {"n": None, "level": None},
+}
+
+
 def parse_generator_spec(spec: str, seed: int | None = None) -> GridPointSet:
     """Build a point set from a compact spec string.
 
     Grammar: `kind:key=value,...` with kinds
-      cantor  keep=0|3 (per-axis digits joined by |), base, dims, iters
+      cantor  keep=0|3 (per-axis digits joined by |), base=4, dims=1, iters=1
       random  n, s, level (requires a seed)
       line    n, level
       cluster n, level, cube_level
       point   n, level
-    Example: `cantor:keep=0|3,base=4,dims=2,iters=5`.
+    Keys with a default may be left out; an unknown, repeated or missing key
+    is a ValueError.  Example: `cantor:keep=0|3,base=4,dims=2,iters=5`.
     """
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
+    if kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    keys = _SPEC_KEYS[kind]
+    known = f"{kind} takes {', '.join(keys)}"
     kv: dict[str, str] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ValueError(f"malformed generator option {item!r}")
-            kv[key.strip()] = val.strip()
+    for item in rest.split(",") if rest else []:
+        key, _, val = item.partition("=")
+        key = key.strip()
+        if not val:
+            raise ValueError(f"malformed generator option {item!r}")
+        if key not in keys or key in kv:
+            word = "repeated" if key in kv else "unknown"
+            raise ValueError(f"{word} generator key {key!r}: {known}")
+        kv[key] = val.strip()
+    kv = {k: kv.get(k, default) for k, default in keys.items()}
+    missing = [k for k, v in kv.items() if v is None]
+    if missing:
+        raise ValueError(f"missing generator key {missing[0]!r}: {known}")
     if kind == "cantor":
-        base = int(kv.get("base", "4"))
-        dims = int(kv.get("dims", "1"))
-        iters = int(kv.get("iters", "1"))
-        digits = tuple(int(d) for d in kv.get("keep", "0|3").split("|"))
-        pattern = CantorPattern(base, (digits,) * dims)
-        return gen_cantor_product(pattern, iters)
+        digits = tuple(int(d) for d in kv["keep"].split("|"))
+        pattern = CantorPattern(int(kv["base"]), (digits,) * int(kv["dims"]))
+        return gen_cantor_product(pattern, int(kv["iters"]))
     if kind == "random":
         if seed is None:
             raise ValueError("the random generator requires a seed")
-        return gen_random_tree_set(
-            int(kv["n"]), float(kv["s"]), int(kv["level"]), seed
-        )
-    if kind in ("line", "cluster", "point"):
-        params = {k: int(v) for k, v in kv.items()}
-        return gen_degenerate(kind, **params)
-    raise ValueError(f"unknown generator kind {kind!r}")
+        return gen_random_tree_set(int(kv["n"]), float(kv["s"]), int(kv["level"]), seed)
+    return gen_degenerate(kind, **{k: int(v) for k, v in kv.items()})

@@ -14,13 +14,12 @@ dim * level.  A list of dyadic cubes is the same kind of array, one
 `level c_1 ... c_n` row per cube (`CoverTree.antichain` returns one).
 
 Every such array is written as text by one row formatter,
-`kernels.format_rows`, and read by the row codec of the active backend
-with one general reader behind it: the compiled parser reads canonical
-files (ASCII digits, spaces, tabs and line breaks) or declines, and a
-declined file, or one that fails a check, goes to `_parse_rows`, which
-reads whatever str.split and int accept and names every error.  The
-general reader is the reference, and the only reader on the numpy
-fallback.
+`kernels.format_rows`, and read by one reader per format: the active
+backend's `kernels.parse_rows` reads canonical rows (ASCII digits, spaces,
+tabs and line breaks) or declines, and only where it declines does
+`_parse_rows` read the decoded lines, taking whatever str.split and int
+accept.  Every check after that runs once, on either array.  The numpy
+fallback's parser declines every input.
 """
 
 from __future__ import annotations
@@ -292,74 +291,69 @@ def coarsen(P: GridPointSet, level: int) -> GridPointSet:
 # space-separated integers in lexicographic order; duplicate rows are
 # rejected on read.  A cube list (content.py) is one `level c_1 ... c_n`
 # line per cube, the same kind of row.  Both are written by
-# `kernels.format_rows`.  A read tries `kernels.parse_rows` first; where it
-# declines, or the rows it reads fail a check, the general reader runs on
-# the file from the start, so every error keeps its type and message.
+# `kernels.format_rows`.  A read takes the file's bytes once and tries
+# `kernels.parse_rows` on them; where it declines, `_parse_rows` reads the
+# non-blank lines.  The checks that follow are the same for both, so every
+# error keeps its type and message, and the lines are decoded only where
+# the parser declines or an error names a line.
 
 # the first non-blank line of a file in the canonical form, and where it ends
 _FIRST_LINE = re.compile(rb"[ \t\r\n]*([^\r\n]*)")
 
 
+def _lines(data: bytes) -> list[str]:
+    """The non-blank lines of a file's bytes, decoded as UTF-8."""
+    return list(filter(str.strip, data.decode().splitlines()))
+
+
 def _parse_rows(path, lines: list[str], width: int, what: str) -> np.ndarray:
     """The (len(lines), width) int64 array of lines of `width` integer tokens
-    each (whatever str.split and int accept); a line with another token
-    count is named in a ValueError saying that it does not have `what`."""
+    each (whatever str.split and int accept); a ValueError names the first
+    line with another token count (it does not have `what`), or else the
+    first with an integer outside int64."""
     tokens: list[str] = []
     for ln in lines:
         row = ln.split()
         if len(row) != width:
             raise ValueError(f"{path}: row {ln!r} does not have {what}")
         tokens += row
-    return np.array(tokens, dtype=np.int64).reshape(len(lines), width)
+    try:
+        return np.array(tokens, dtype=np.int64).reshape(len(lines), width)
+    except OverflowError:
+        # every token before the first one outside int64 is an int
+        ln = next(ln for ln in lines if any(int(x) >> 63 not in (0, -1) for x in ln.split()))
+        raise ValueError(f"{path}: row {ln!r} has an integer outside int64") from None
 
 
 def write_pointset(P: GridPointSet, path) -> None:
     Path(path).write_text(f"{P.dim} {P.level} {len(P)}\n" + kernels.format_rows(P.cells))
 
 
-def _read_canonical_pointset(path) -> GridPointSet | None:
-    """The point set of a canonical file, read by the compiled row parser;
-    None where the parser declines the header or the rows, or where they
-    fail a check (row count, duplicates, range), so that the general reader
-    raises every error.  On the numpy fallback, whose parser declines
-    every file, the file is not read."""
-    if kernels.backend_name() == "python":
-        return None
-    data = Path(path).read_bytes()
-    head = _FIRST_LINE.match(data)
-    header = kernels.parse_rows(head.group(1), 3)
-    if header is None or len(header) != 1:
-        return None
-    dim, level, count = header[0].tolist()
-    if not 1 <= dim <= MAX_DIM:
-        return None
-    rows = kernels.parse_rows(memoryview(data)[head.end() :], dim)
-    if rows is None or len(rows) != count:
-        return None
-    try:
-        P = GridPointSet(dim, level, rows)
-    except ValueError:
-        return None
-    return P if len(P) == count else None
-
-
 def read_pointset(path) -> GridPointSet:
-    P = _read_canonical_pointset(path)
-    if P is not None:
-        return P
-    lines = list(filter(str.strip, Path(path).read_text().splitlines()))
-    if not lines:
-        raise ValueError(f"{path}: empty point-set file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    dim, level, count = (int(x) for x in head)
-    if len(lines) - 1 != count:
-        raise ValueError(f"{path}: header promises {count} rows, found {len(lines) - 1}")
-    rows = _parse_rows(path, lines[1:], dim, f"{dim} coordinates")
+    data = Path(path).read_bytes()
+    first = _FIRST_LINE.match(data)
+    header = kernels.parse_rows(first.group(1), 3)
+    lines = rows = None
+    # a header dim outside [1, MAX_DIM] must not size the parser's buffer
+    if header is not None and len(header) == 1 and 1 <= header[0, 0] <= MAX_DIM:
+        dim, level, count = header[0].tolist()
+        rows = kernels.parse_rows(memoryview(data)[first.end() :], dim)
+    if rows is None:
+        lines = _lines(data)
+        if not lines:
+            raise ValueError(f"{path}: empty point-set file")
+        head = lines[0].split()
+        if len(head) != 3:
+            raise ValueError(f"{path}: malformed header {lines[0]!r}")
+        dim, level, count = (int(x) for x in head)
+    found = len(lines) - 1 if rows is None else len(rows)
+    if found != count:
+        raise ValueError(f"{path}: header promises {count} rows, found {found}")
+    if rows is None:
+        rows = _parse_rows(path, lines[1:], dim, f"{dim} coordinates")
     P = GridPointSet(dim, level, rows)
     if len(P) < count:
-        _, first = np.unique(_unique_rows(rows)[1], return_index=True)
-        repeat = np.setdiff1d(np.arange(count), first)[0]
-        raise ValueError(f"{path}: duplicate row {lines[1 + repeat]!r}")
+        _, first_seen = np.unique(_unique_rows(rows)[1], return_index=True)
+        repeat = np.setdiff1d(np.arange(count), first_seen)[0]
+        raise ValueError(f"{path}: duplicate row {(lines or _lines(data))[1 + repeat]!r}")
     return P

@@ -98,7 +98,7 @@ def _heavy_threshold(s: float, tau_c_l: float, height: int) -> float:
 def heavy_decompose(
     P: GridPointSet,
     s: float,
-    C: float,
+    C: float | None = None,
     L: float | None = None,
     tau: float | None = None,
 ) -> Decomposition:
@@ -111,15 +111,18 @@ def heavy_decompose(
     over maximal heavy cubes is at most |P| * delta^s / (tau*C*L), hence at
     most 1/(tau*L) whenever |P| <= C * delta^-s.
 
-    tau defaults to 4^-dim and L to max(1, 2/tau).  tau*L > 1 keeps the
-    root from being heavy under the normalization C = |P| * delta^s, where
-    its threshold is tau*L*|P|.
+    C defaults to the normalization |P| * delta^s, computed as
+    `len(P) * 2.0 ** (-P.level * s)`; tau defaults to 4^-dim and L to
+    max(1, 2/tau).  tau*L > 1 keeps the root from being heavy under that
+    normalization, where its threshold is tau*L*|P|.
 
     The net, built on its first read, keeps a greedy maximal subset of the
     good cells pairwise at least two cells apart (one full cell of gap), so
     every good cell lies within one cell of the net.
     """
     _validate_exponent(P, s)
+    if C is None:
+        C = len(P) * 2.0 ** (-P.level * s)
     if tau is None:
         tau = 4.0 ** -P.dim
     if not 0.0 < tau <= 1.0:

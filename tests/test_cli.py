@@ -73,6 +73,14 @@ class TestContentSpreadFrostman:
         assert run(["content", "--input", tmp_path / "nope.txt", "--s", 1.0]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_integer_beyond_int64_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "points.txt"
+        path.write_text("1 3 2\n1\n99999999999999999999\n")
+        assert run(["spread", "--input", path, "--s", 1.0]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: row '99999999999999999999' has an integer outside int64\n"
+        )
+
 
 class TestNoCubeObjects:
     def test_command_paths_build_no_dyadic_cube(self, tmp_path, monkeypatch):
@@ -119,6 +127,17 @@ class TestDecompose:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: L={big_l} must be finite")
         assert not list(tmp_path.iterdir())
+
+    def test_same_normalisation_as_multiscan(self, tmp_path, capsys):
+        # at s = 1/3 and level 9, len(P) * 2.0 ** (-9 * s) and
+        # len(P) * (2.0 ** -9) ** s differ in the last bit
+        gen = ["--gen", "cluster:n=2,level=9,cube_level=3", "--s", "0.3333333333333333"]
+        assert run(["decompose", *gen, "--out", tmp_path / "d"]) == 0
+        assert run(["multiscan", *gen, "--eps", 0.1, "--samples", 3, "--seed", 1,
+                    "--level-min", 9, "--level-max", 9, "--out", tmp_path / "m"]) == 0
+        for name in ("good", "bad", "heavy"):
+            got = (tmp_path / "d" / f"{name}.txt").read_text()
+            assert got == (tmp_path / "m" / f"scale9_{name}.txt").read_text(), name
 
 
 class TestScan:

@@ -1,11 +1,12 @@
 """The row codec against the general reader and the "%d" formatter.
 
 A seeded corpus of point-set and cover files, canonical ones and ones only
-the general reader takes or none does, is read on both backends.  Where
-the compiled parser accepts a file, the array is the general reader's;
-where the general reader raises, the compiled parser declines and the
-same exception comes out of `read_pointset` / `read_cover`.
+the general reader takes or none does, is read on both backends: every
+file gives the same array, or the same exception type and message, whether
+the compiled parser reads its rows or declines them.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,30 +128,38 @@ def _outcome(read, path):
         return type(exc), str(exc)
 
 
-def _check_parity(impls, monkeypatch, corpus, path, read, read_canonical):
-    """Counts of (accepted by the compiled parser, declined, errors)."""
+class _Spy:
+    """A backend whose parse_rows records what each call returned."""
+
+    def __init__(self, impl):
+        self.impl = impl
+        self.results = []
+
+    def parse_rows(self, buf, width):
+        self.results.append(self.impl.parse_rows(buf, width))
+        return self.results[-1]
+
+
+def _check_parity(impls, monkeypatch, corpus, path, read):
+    """Every file reads the same on both backends.  Returns the counts of
+    (rows read by the compiled parser, rows it declined, errors)."""
     stats = [0, 0, 0]
     for text in corpus:
         path.write_bytes(text.encode())
         monkeypatch.setattr(kernels, "_active", impls["python"])
-        assert read_canonical(path) is None
         want = _outcome(read, path)
-        monkeypatch.setattr(kernels, "_active", impls["compiled"])
-        fast = read_canonical(path)
-        raised = isinstance(want, tuple)
-        if raised:
-            assert fast is None, text
-        elif fast is not None:
-            assert fast == want, text
+        spy = _Spy(impls["compiled"])
+        monkeypatch.setattr(kernels, "_active", spy)
         assert _outcome(read, path) == want, text
-        stats[2 if raised else 0 if fast is not None else 1] += 1
+        # a read that succeeds ends on its rows
+        accepted = bool(spy.results) and spy.results[-1] is not None
+        stats[2 if isinstance(want, tuple) else 0 if accepted else 1] += 1
     return stats
 
 
 def test_read_pointset_parity(impls, monkeypatch, tmp_path):
     accepted, declined, errors = _check_parity(
-        impls, monkeypatch, pointset_corpus(19, 600), tmp_path / "points.txt",
-        read_pointset, grid._read_canonical_pointset,
+        impls, monkeypatch, pointset_corpus(19, 600), tmp_path / "points.txt", read_pointset
     )
     assert min(accepted, declined, errors) >= 40, (accepted, declined, errors)
 
@@ -158,7 +167,7 @@ def test_read_pointset_parity(impls, monkeypatch, tmp_path):
 def test_read_cover_parity(impls, monkeypatch, tmp_path):
     accepted, declined, errors = _check_parity(
         impls, monkeypatch, cover_corpus(23, 400), tmp_path / "cover.txt",
-        lambda p: read_cover(p, 1.0), lambda p: content._read_canonical_cover(p, 1.0),
+        lambda p: read_cover(p, 1.0),
     )
     assert min(accepted, declined, errors) >= 30, (accepted, declined, errors)
 
@@ -171,14 +180,57 @@ def test_header_count_beyond_file_is_the_general_error(impls, monkeypatch, tmp_p
         read_pointset(path)
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        # the header dim must not size the compiled parser's buffer
+        ("points.txt", "100000000000000000 3 0\n", "dimension 100000000000000000 outside"),
+        ("points.txt", "1 3 1\n99999999999999999999\n", "row '9+' has an integer outside int64"),
+        ("cover.txt", "0 0\nvalue 1e\n", "could not convert string to float: '1e'"),
+    ],
+)
+def test_errors_are_the_same_on_both_backends(impls, monkeypatch, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    read = read_pointset if name == "points.txt" else lambda p: read_cover(p, 1.0)
+    for impl in impls.values():
+        monkeypatch.setattr(kernels, "_active", impl)
+        with pytest.raises(ValueError, match=message):
+            read(path)
+
+
 def test_canonical_files_take_the_compiled_parser(impls, monkeypatch, tmp_path, rng):
-    monkeypatch.setattr(kernels, "_active", impls["compiled"])
     P = random_subset(rng, 3, 5)
     grid.write_pointset(P, tmp_path / "points.txt")
-    assert grid._read_canonical_pointset(tmp_path / "points.txt") == P
     cover = optimal_cover(P, 1.5)
     content.write_cover(cover, tmp_path / "cover.txt")
-    assert content._read_canonical_cover(tmp_path / "cover.txt", 1.5) == cover
+    spy = _Spy(impls["compiled"])
+    monkeypatch.setattr(kernels, "_active", spy)
+    assert read_pointset(tmp_path / "points.txt") == P
+    assert read_cover(tmp_path / "cover.txt", 1.5) == cover
+    # the point set's header and cells, then the cover's cubes
+    assert [r is not None for r in spy.results] == [True, True, True]
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_declined_file_is_opened_once(impls, monkeypatch, tmp_path, backend):
+    monkeypatch.setattr(kernels, "_active", impls[backend])
+    opened = []
+    path_open = Path.open
+
+    def spy_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return path_open(self, *args, **kwargs)
+
+    (tmp_path / "points.txt").write_text("2 2 3\n0\xa01\n+3\u30002\n1 1\n")
+    (tmp_path / "dup.txt").write_text("1 2 2\n1\n1\n")
+    (tmp_path / "cover.txt").write_text("0\t0\nvalue +1.5\n")
+    monkeypatch.setattr(Path, "open", spy_open)
+    assert read_pointset(tmp_path / "points.txt").cells.tolist() == [[0, 1], [1, 1], [3, 2]]
+    with pytest.raises(ValueError, match="duplicate row '1'"):
+        read_pointset(tmp_path / "dup.txt")
+    assert read_cover(tmp_path / "cover.txt", 1.0).value == 1.5
+    assert opened == ["points.txt", "dup.txt", "cover.txt"]
 
 
 @pytest.mark.parametrize(

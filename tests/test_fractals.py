@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,23 @@ class TestGeneratorSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             parse_generator_spec("wiggle:n=1")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # built 1 iteration, 4 cells at level 2
+            ("cantor:keep=0|3,dims=2,iter=5",
+             "unknown generator key 'iter': cantor takes keep, base, dims, iters"),
+            # built dimension 3: the last key won
+            ("line:n=2,level=5,n=3", "repeated generator key 'n': line takes n, level"),
+            ("random:n=2,level=5", "missing generator key 's': random takes n, s, level"),
+            ("line:n=2", "missing generator key 'level': line takes n, level"),
+            ("line:n=2,level=5,fixed=3", "unknown generator key 'fixed': line takes n, level"),
+        ],
+    )
+    def test_bad_keys_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_generator_spec(spec, seed=1)
+
+    def test_defaults_fill_left_out_keys(self):
+        assert parse_generator_spec("cantor") == gen_cantor_product(QUARTER_CANTOR, 1)

@@ -311,7 +311,7 @@ class TestPointsetFormat:
         path.write_text("1 3 2\n" + "0" * 30 + "5\n7\n")
         assert read_pointset(path).cells.tolist() == [[5], [7]]
         path.write_text("1 3 1\n" + "9" * 19 + "\n")
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="row '9+' has an integer outside int64"):
             read_pointset(path)
 
     def test_non_integer_token_rejected(self, tmp_path):

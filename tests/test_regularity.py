@@ -78,6 +78,14 @@ class TestHeavyDecompose:
         assert all(c[0] >= 64 for c in dec.good.cells.tolist())
         assert dec.heavy_weight <= 1.0 / (0.25 * 8.0) + 1e-12
 
+    def test_default_c_is_the_cell_count_normalisation(self):
+        # C = len(P) * 2.0 ** (-9 * s) = 512 exactly; the 4096 cells of the
+        # level-3 cube reach its threshold tau*C*L * 2^(6s) = 2 * 512 * 4
+        P = gen_degenerate("cluster", n=2, level=9, cube_level=3)
+        dec = heavy_decompose(P, 1 / 3)
+        assert dec.params[1] == 512.0
+        assert dec.maximal_heavy.tolist() == [[3, 0, 0]]
+
     def test_weight_bound_and_net_regularity(self, rng):
         for seed in range(8):
             n = 1 + seed % 2
