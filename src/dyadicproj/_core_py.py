@@ -2,11 +2,13 @@
 
 The counting predicate matches _ckernels.c exactly (squared differences
 summed over the coordinates in the same order, compared with
-<= delta*delta) and both count by the same slab sweep, so the two backends
-agree integer-for-integer; the Riesz row sums form the same terms and add
-them in the same order, so they are equal.  The Riesz sums take one
-vectorised pass per row, O(N^2) work in all: on 2 shared vCPUs about 0.5 s
-at N = 9,215, against 0.09 s for the compiled kernel.
+<= delta*delta) and decides every pair that can be close, so the two
+backends agree integer-for-integer.  C finds each row's slab end by a
+two-pointer sweep; pair_count here bounds it by two proved searches.  The
+Riesz row sums form the same terms and add them in the same order, so they
+are equal; they take one vectorised pass per row, O(N^2) work in all: on 2
+shared vCPUs about 0.5 s at N = 9,215, against 0.09 s for the compiled
+kernel.
 
 The row codec's fallback is the reference for the compiled one:
 `format_rows` is the "%d" formatter, and `parse_rows` declines every
@@ -20,68 +22,46 @@ import numpy as np
 _PAIR_CHUNK = 1 << 20  # candidate pairs per block of pair_count
 
 
-def _slab_ends(z: np.ndarray, delta: float) -> np.ndarray:
-    """end[i]: the first j > i with (z[j]-z[i])^2 > delta^2, for z sorted
-    ascending, so the slab of row i is j = i+1 .. end[i]-1.
-
-    searchsorted on z + delta -/+ slack guesses that end within [lo, hi);
-    the guess is kept only where the predicate confirms it at lo - 1 and
-    hi, and a bisection on the predicate finishes every row whose bracket
-    is not yet a single point.  The slack (far above the rounding of
-    z + delta) only keeps the brackets narrow; correctness rests on the
-    confirmation and on monotonicity in j.
-    """
-    n = z.shape[0]
-    d2max = delta * delta
-    rows = np.arange(n)
-    first = rows + 1
-
-    def close(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        d = z[j] - z[i]
-        return d * d <= d2max
-
-    slack = 2.0**-40 * (float(np.abs(z).max()) + delta)
-    lo = np.maximum(np.searchsorted(z, z + (delta - slack), side="left"), first)
-    hi = np.maximum(np.searchsorted(z, z + (delta + slack), side="right"), first)
-    wrong = (lo > first) & ~close(rows, lo - 1)
-    wrong |= (hi < n) & close(rows, np.minimum(hi, n - 1))
-    lo[wrong] = first[wrong]
-    hi[wrong] = n
-    while True:
-        act = np.flatnonzero(lo < hi)
-        if act.size == 0:
-            return lo
-        mid = (lo[act] + hi[act]) >> 1
-        ok = close(act, mid)
-        lo[act[ok]] = mid[ok] + 1
-        hi[act[~ok]] = mid[~ok]
-
-
 def pair_count(x: np.ndarray, delta: float) -> int:
-    """2 * (close pairs j > i) + n for rows sorted by the first coordinate.
-
-    Only a row's slab (_slab_ends of the first coordinate) can hold close
-    pairs: adding non-negative squares never lowers the rounded sum.  For
-    m = 1 the predicate is the slab test, so the count is the sum of slab
-    widths; otherwise the slab pairs are tested in full, about _PAIR_CHUNK
-    at a time.
+    """2 * (close pairs j > i) + n for finite rows sorted by the first
+    coordinate z, and a finite delta >= 0.  Two searches on z bound each
+    row's candidates; the predicate decides the pairs between them, about
+    _PAIR_CHUNK at a time.  Let u = 2^-53, M = max|z| and the exact
+    slack = 2^-40 * max(M + delta, 2^-460).  In the rounding model (Higham
+    2002, 2.2) with underflow, fl(a +- b) = (a +- b)(1 + e) and
+    fl(ab) = ab(1 + e) + h, with |e| <= u and |h| <= 2^-1075:
+    - end = searchsorted(z, z + (delta + slack), "right") exceeds every close
+      j.  A sum of squares is never below its first term, so a close pair
+      has fl(fl(z_j - z_i)^2) <= fl(delta^2), hence z_j - z_i <
+      delta(1 + 3u) + 2^-535 < delta + slack - u(M + 3 delta + 3 slack),
+      and fl(z_i + fl(delta + slack)) - z_i is at least the latter.
+    - begin = searchsorted(z, z + (delta - slack), "right"), for m = 1 only
+      and at least i + 1: every j below it is close, as z_j - z_i <=
+      delta - slack + u(M + 3 delta + 3 slack) < delta.
+    Overflow only raises end to n, unless delta^2 overflows and then every
+    pair is close.
     """
     n, m = x.shape
-    if n == 0:
-        return 0
-    cols = [np.ascontiguousarray(x[:, t]) for t in range(m)]
-    width = _slab_ends(cols[0], delta) - np.arange(1, n + 1)
-    if m == 1:
-        return int(2 * width.sum() + n)
     d2max = delta * delta
-    start = np.concatenate(([0], np.cumsum(width)))  # candidates before row i
+    if n == 0 or d2max == np.inf:
+        return n * n
+    cols = [np.ascontiguousarray(x[:, t]) for t in range(m)]
+    z = cols[0]
+    slack = 2.0**-40 * max(max(-float(z[0]), float(z[-1])) + delta, 2.0**-460)
+    end = np.searchsorted(z, z + (delta + slack), side="right")
+    begin = np.arange(1, n + 1)
     close = 0
+    if m == 1:  # the pairs below begin count without a test
+        certain = np.maximum(np.searchsorted(z, z + (delta - slack), side="right"), begin)
+        close, begin = int((certain - begin).sum()), certain
+    width = end - begin
+    start = np.concatenate(([0], np.cumsum(width)))  # candidates before row i
     a = 0
     while a < n:
         b = max(int(np.searchsorted(start, start[a] + _PAIR_CHUNK, side="right")) - 1, a + 1)
         w = width[a:b]
-        # rows a..b-1, each paired with j = i+1 .. i+w[i-a]
-        j = np.arange(start[a], start[b]) - np.repeat(start[a:b] - np.arange(a + 1, b + 1), w)
+        # rows a..b-1, each paired with j = begin[i] .. begin[i]+w[i-a]-1
+        j = np.arange(start[a], start[b]) - np.repeat(start[a:b] - begin[a:b], w)
         acc = np.zeros(j.size)
         for c in cols:
             d = np.repeat(c[a:b], w) - c[j]

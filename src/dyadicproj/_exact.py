@@ -9,7 +9,8 @@ cannot decide go to `compare`, which is exact, so self-similar ties are
 decided deterministically.  For other exponents the float result is final,
 with ties defined by a relative tolerance.  `_cmp_pow2` decides a rational
 against one power 2^(e*p/q) the same way, float filter first, and the scan
-takes its kappa, its bad label and its budget gate from it.
+takes its kappa, its bad label and its budget gate from it, and
+heavy_decompose its default thresholds.
 """
 
 from __future__ import annotations
@@ -92,16 +93,16 @@ def _cmp_pow2(x, e: int, frac: Fraction) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _ceil_pow2(frac: Fraction, e: int, cap: int) -> int:
-    """Exact min(cap, ceil(2^(e*frac))) for frac >= 0, e >= 0 and cap >= 1,
-    by bisection on [0, cap]: about log2(cap) comparisons, almost all of
-    them decided by the float filter, however large e*frac is."""
-    if _cmp_pow2(cap, e, frac) <= 0:
+def _ceil_pow2(frac: Fraction, e: int, cap: int, factor: Fraction = Fraction(1)) -> int:
+    """Exact min(cap, ceil(factor * 2^(e*frac))) for a rational factor > 0
+    and cap >= 1, by bisection on [0, cap]: about log2(cap) comparisons,
+    almost all of them decided by the float filter, however large e*frac is."""
+    if _cmp_pow2(cap / factor, e, frac) <= 0:
         return cap
-    lo, hi = 0, cap  # lo < ceil(2^(e*frac)) <= hi
+    lo, hi = 0, cap  # lo < ceil(factor * 2^(e*frac)) <= hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _cmp_pow2(mid, e, frac) >= 0:
+        if _cmp_pow2(mid / factor, e, frac) >= 0:
             hi = mid
         else:
             lo = mid

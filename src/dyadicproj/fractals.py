@@ -113,8 +113,8 @@ def gen_degenerate(kind: str, **params) -> GridPointSet:
 
     line:    all cells along the first axis, other coordinates fixed
              (n, level, fixed: tuple of n-1 coords, default zeros)
-    cluster: the full sub-grid inside one coarse cube
-             (n, level, cube_level, cube_coords: tuple, default zeros)
+    cluster: the full sub-grid inside the coarse cube at the origin
+             (n, level, cube_level)
     point:   a singleton (n, level, coords: tuple, default zeros)
     """
     if kind == "line":
@@ -133,9 +133,7 @@ def gen_degenerate(kind: str, **params) -> GridPointSet:
         cube_level = int(params["cube_level"])
         if not 0 <= cube_level <= level:
             raise ValueError(f"cube_level {cube_level} outside [0, {level}]")
-        coords = tuple(params.get("cube_coords", (0,) * n))
-        span = 1 << (level - cube_level)
-        axes = [np.arange(c * span, (c + 1) * span, dtype=np.int64) for c in coords]
+        axes = [np.arange(1 << (level - cube_level), dtype=np.int64)] * n
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
         return GridPointSet(n, level, grid)
     if kind == "point":

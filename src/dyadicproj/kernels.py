@@ -5,8 +5,10 @@ by _core) are used when the shared library is present and current;
 otherwise the numpy fallback (_core_py) takes over, with a RuntimeWarning
 at import.  Setting the environment variable DYADICPROJ_PURE_PYTHON=1
 before import forces the fallback without a warning.  Both backends
-implement the same four functions: `pair_count`, one slab sweep with the
-same counting predicate for every m, so they return equal integers;
+implement the same four functions: `pair_count`, which tests every pair
+that can be close with the same counting predicate for every m, so they
+return equal integers (C sweeps each row's slab with two pointers, the
+fallback bounds it by two proved searches);
 `riesz_row_sums`, the same Riesz terms added in the same order, so
 `riesz_pair_sum` is equal on both; and the row codec of the text formats,
 `format_rows`, which writes the same text, and `parse_rows`, which either
@@ -76,11 +78,15 @@ def coincidence_count(coords: np.ndarray, delta: float) -> int:
     the count is 2 * (close pairs) + len(coords).  The sort need not be
     stable: the predicate is symmetric bit for bit and its sum is never below
     the first coordinate's square, so tied rows may come in any order.
+    delta must be finite and >= 0.
     """
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] == 0:
         raise ValueError("coords must be a 2-D array with at least one column")
-    return int(_active.pair_count(_sorted_by_first(coords), float(delta)))
+    delta = float(delta)
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    return int(_active.pair_count(_sorted_by_first(coords), delta))
 
 
 def riesz_pair_sum(points: np.ndarray, power: int) -> float:

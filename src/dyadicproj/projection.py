@@ -356,9 +356,7 @@ def direction_scan(
         V = haar_sample(P.dim, m, np.random.default_rng(ss))
         return DirectionRecord(index, seed, V.frame, *classify_direction(P, V, s, eps, kappa))
 
-    if num_samples == 0:
-        records: list[DirectionRecord] = []
-    elif workers <= 1:
+    if workers <= 1:
         records = [one(i) for i in range(num_samples)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

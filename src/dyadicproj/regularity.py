@@ -15,6 +15,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,9 @@ __all__ = [
 
 class ExtractionFailedError(RuntimeError):
     """Regular-subset extraction missed its cardinality guarantee."""
+
+
+_MIN_FRACTION = 0.5  # of content * delta^-s that frostman_subset must reach
 
 
 def minimal_spread_constant(P: GridPointSet, s: float) -> float:
@@ -91,10 +95,6 @@ class Decomposition:
         return 1.0 / (tau * L)
 
 
-def _heavy_threshold(s: float, tau_c_l: float, height: int) -> float:
-    return tau_c_l * 2.0 ** (height * s)
-
-
 def heavy_decompose(
     P: GridPointSet,
     s: float,
@@ -111,16 +111,20 @@ def heavy_decompose(
     over maximal heavy cubes is at most |P| * delta^s / (tau*C*L), hence at
     most 1/(tau*L) whenever |P| <= C * delta^-s.
 
-    C defaults to the normalization |P| * delta^s, computed as
-    `len(P) * 2.0 ** (-P.level * s)`; tau defaults to 4^-dim and L to
-    max(1, 2/tau).  tau*L > 1 keeps the root from being heavy under that
-    normalization, where its threshold is tau*L*|P|.
+    C defaults to the normalization |P| * delta^s, the float
+    `len(P) * 2.0 ** (-P.level * s)`.  With that default and s snapping to
+    p/q (see _exact), Q at level j is heavy iff its count reaches
+    ceil(tau*L*|P| * 2^(-j*p/q)), computed exactly from tau and L as the
+    rationals they are; otherwise the float threshold decides.  tau defaults
+    to 4^-dim and L to max(1, 2/tau).  tau*L > 1 keeps the root from being
+    heavy under the default normalization, where its threshold is tau*L*|P|.
 
     The net, built on its first read, keeps a greedy maximal subset of the
     good cells pairwise at least two cells apart (one full cell of gap), so
     every good cell lies within one cell of the net.
     """
     _validate_exponent(P, s)
+    frac = snap_exponent(s) if C is None else None
     if C is None:
         C = len(P) * 2.0 ** (-P.level * s)
     if tau is None:
@@ -143,11 +147,13 @@ def heavy_decompose(
         )
 
     tree = build_cover_tree(P)
-    tcl = tau * C * L
-    heavy = [
-        tree.counts[j].astype(np.float64) >= _heavy_threshold(s, tcl, P.level - j)
-        for j in range(P.level + 1)
-    ]
+    if frac is not None:
+        # counts never exceed |P|, so a threshold capped at |P| + 1 is exact
+        factor = Fraction(tau) * Fraction(L) * len(P)
+        need = [_ceil_pow2(frac, -j, len(P) + 1, factor) for j in range(P.level + 1)]
+    else:
+        need = [tau * C * L * 2.0 ** ((P.level - j) * s) for j in range(P.level + 1)]
+    heavy = [tree.counts[j] >= need[j] for j in range(P.level + 1)]
     maximal, under = tree.antichain(heavy)
     # the leaf level is P.cells in order
     bad = GridPointSet(P.dim, P.level, P.cells[under])
@@ -184,14 +190,15 @@ def _greedy_net(P: GridPointSet) -> GridPointSet:
     return GridPointSet(P.dim, P.level, cells[np.array(taken, dtype=bool)])
 
 
-def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> GridPointSet:
+def frostman_subset(P: GridPointSet, s: float) -> GridPointSet:
     """Extract a regular subset witnessing the dyadic content of P.
 
     Walks the cube tree bottom-up computing per-node budgets
     B(Q) = min(ceil((side(Q)/delta)^s), sum of child budgets), then selects
     that many cells top-down in lexicographic order.  The selection S
     satisfies count_S(Q) <= 2 * (side(Q)/delta)^s in every dyadic window and
-    |S| >= content * delta^-s, where content is the minimal cover value.
+    |S| >= content * delta^-s, where content is the minimal cover value;
+    ExtractionFailedError is raised if |S| falls below _MIN_FRACTION of that.
     """
     if len(P) == 0:
         raise ValueError("cannot extract from an empty point set")
@@ -228,11 +235,11 @@ def frostman_subset(P: GridPointSet, s: float, min_fraction: float = 0.5) -> Gri
 
     S = GridPointSet(P.dim, P.level, tree.levels[L][quota > 0])
     content = optimal_cover(P, s).value
-    need = min_fraction * content * 2.0 ** (L * s)
+    need = _MIN_FRACTION * content * 2.0 ** (L * s)
     if len(S) < need - 1e-9:
         raise ExtractionFailedError(
             f"extracted {len(S)} cells, below the guaranteed "
-            f"{need:.6g} = {min_fraction} * content * delta^-s"
+            f"{need:.6g} = {_MIN_FRACTION} * content * delta^-s"
         )
     return S
 

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import sysconfig
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,29 @@ def spread_constant_oracle(P: GridPointSet, s: float) -> float:
         for c in counts:
             best = max(best, c / 2.0 ** ((P.level - j) * s))
     return best
+
+
+def heavy_cubes_oracle(P: GridPointSet, frac: Fraction, tau: float, L: float):
+    """(maximal heavy cubes, exact ties) of heavy_decompose's default
+    normalisation.  A level-j cube holding c cells is heavy when
+    c >= tau*L*|P| * 2^(-j*p/q), s = p/q, decided as
+    c^q * 2^(j*p) >= (tau*L*|P|)^q in integers and Fractions; it is maximal
+    when no cube above it is heavy.  The cubes come as sorted
+    `level c_1 ... c_n` rows; ties counts the cubes where c is equal to the
+    threshold."""
+    p, q = frac.numerator, frac.denominator
+    need = (Fraction(tau) * Fraction(L) * len(P)) ** q
+    heavy, ties = set(), 0
+    for j in range(P.level + 1):
+        under = Counter(tuple(c >> (P.level - j) for c in cell) for cell in P.cells.tolist())
+        heavy |= {(j, cube) for cube, c in under.items() if c**q * 2 ** (j * p) >= need}
+        ties += sum(c**q * 2 ** (j * p) == need for c in under.values())
+    maximal = sorted(
+        [j, *cube]
+        for j, cube in heavy
+        if not any((i, tuple(x >> (j - i) for x in cube)) in heavy for i in range(j))
+    )
+    return maximal, ties
 
 
 def cell_tuples(rows) -> list[tuple[int, ...]]:

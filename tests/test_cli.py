@@ -139,6 +139,46 @@ class TestDecompose:
             got = (tmp_path / "d" / f"{name}.txt").read_text()
             assert got == (tmp_path / "m" / f"scale9_{name}.txt").read_text(), name
 
+    def test_exact_tie_is_heavy(self, tmp_path, capsys):
+        # the level-2 cube of {0, 1} holds 2 cells, and its threshold at the
+        # default normalisation is exactly 2 (2.0000000000000004 in floats)
+        points = tmp_path / "points.txt"
+        points.write_text("1 3 2\n0\n1\n")
+        assert run(["decompose", "--input", points, "--s", 0.5, "--out", tmp_path / "d"]) == 0
+        assert capsys.readouterr().out == (
+            "good 0 bad 2 heavy_cubes 1 heavy_weight 0.5 budget 0.5\n"
+        )
+        assert (tmp_path / "d" / "heavy.txt").read_text() == "2 0\nvalue 0.5\n"
+
+
+CANTOR4 = "cantor:keep=0|3,base=4,dims=2,iters=4"
+
+
+def test_outputs_byte_identical_across_backends(impls, monkeypatch, tmp_path, capsys):
+    # the Cantor scan at s = 1 has bad directions, so bad records are compared too
+    commands = [
+        ["multiscan", "--gen", "random:n=2,s=1.5,level=8", "--s", 1.5, "--eps", 0.1,
+         "--samples", 20, "--seed", 5, "--level-min", 4, "--level-max", 8],
+        ["scan", "--gen", "random:n=3,s=2.0,level=5", "--m", 2, "--s", 2.0, "--eps", 0.1,
+         "--samples", 20, "--seed", 3],
+        ["scan", "--gen", CANTOR4, "--s", 1.0, "--eps", 0.05, "--samples", 50, "--seed", 3],
+        ["content", "--gen", CANTOR4, "--s", 1.0],
+        ["decompose", "--gen", CANTOR4, "--s", 1.0, "--big-l", 128],
+        ["frostman", "--gen", CANTOR4, "--s", 1.0],
+    ]
+    seen = {}
+    for name, impl in impls.items():
+        monkeypatch.setattr(kernels, "_active", impl)
+        seen[name] = []
+        for k, argv in enumerate(commands):
+            out = tmp_path / name / str(k)
+            code = run([*argv, "--out", out])
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            seen[name].append((code, capsys.readouterr(), files))
+    assert seen["python"] == seen["compiled"]
+    assert sum(len(files) for _, _, files in seen["python"]) == 45
+    assert b",bad" in seen["python"][2][2]["scan.csv"]
+
 
 class TestScan:
     def test_scan_writes_reports(self, tmp_path, capsys):

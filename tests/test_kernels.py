@@ -133,6 +133,18 @@ def test_coincidence_count_refuses_arrays_without_columns():
             coincidence_count(coords, 0.1)
 
 
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_coincidence_count_refuses_delta_outside_its_range(impls, backend, monkeypatch):
+    # unchecked, a NaN delta counts every pair compiled and only the diagonal
+    # on the fallback; the fallback's slab bounds need a finite delta >= 0
+    monkeypatch.setattr(kernels, "_active", impls[backend])
+    pts = np.random.default_rng(3).random((50, 2))
+    for delta in (-0.1, -math.inf, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            coincidence_count(pts, delta)
+    assert coincidence_count(pts, 0.0) == coincidence_count(pts, -0.0) == 50
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_sort_by_first_coordinate_once(rng, m):
     x = rng.random((50, m))
@@ -203,8 +215,8 @@ def _cell_side(centers: np.ndarray) -> float:
 def _count_cases(m: int):
     """(rows sorted by the first coordinate, delta): random sets, one of them
     with slabs wider than _core_py._PAIR_CHUNK pairs in all, a knife edge,
-    and lattice centres of 2,000-4,000 cells on the tie frames (for
-    m = 3, the centres themselves)."""
+    the ends of the float range, and lattice centres of 2,000-4,000 cells on
+    the tie frames (for m = 3, the centres themselves)."""
     rng = np.random.default_rng(5 + m)
     for _ in range(10):
         pts = rng.random((int(rng.integers(1, 400)), m))
@@ -217,6 +229,12 @@ def _count_cases(m: int):
     edge[:, 0] = [0.25, 0.25, 0.25, 0.5, 0.75]
     edge[4, -1] += 0.25 * (m > 1)
     yield edge, 0.25
+    # squares that underflow to 0, so pairs 2^-560 apart are close at
+    # delta = 0; and a delta whose square overflows, so every pair is close
+    tiny = _by_first(rng.integers(-3, 4, size=(40, m)) * 2.0**-560)
+    yield tiny, 0.0
+    yield tiny, 2.0**-545
+    yield _by_first(rng.integers(-3, 4, size=(40, m)) * 1e170), 1e155
     frames = [(dim, f) for (dim, k), fs in TIE_FRAMES.items() if k == m for f in fs]
     for dim, frame in frames or [(3, np.eye(3))]:
         centers = _lattice_centers(rng, dim, int(rng.integers(2000, 4001)))

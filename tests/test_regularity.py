@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from dyadicproj.regularity import (
     write_decomposition,
 )
 
-from conftest import frostman_oracle, greedy_net_oracle, random_subset, spread_constant_oracle
+from conftest import (
+    frostman_oracle,
+    greedy_net_oracle,
+    heavy_cubes_oracle,
+    random_subset,
+    spread_constant_oracle,
+)
 
 
 class TestMinimalSpreadConstant:
@@ -85,6 +92,39 @@ class TestHeavyDecompose:
         dec = heavy_decompose(P, 1 / 3)
         assert dec.params[1] == 512.0
         assert dec.maximal_heavy.tolist() == [[3, 0, 0]]
+
+    def test_exact_tie_at_the_default_normalisation(self):
+        # {0, 1} at level 3, s = 1/2: the level-2 cube holds 2 cells, and its
+        # threshold tau*L*|P| * 2^(-2s) is exactly 2, where the float
+        # tau*C*L * 2.0 ** ((3 - 2) * s) reads 2.0000000000000004
+        P = GridPointSet.from_cells(1, 3, [(0,), (1,)])
+        dec = heavy_decompose(P, 0.5)
+        assert dec.maximal_heavy.tolist() == [[2, 0]]
+        assert len(dec.good) == 0 and len(dec.bad) == 2
+        assert dec.heavy_weight == dec.weight_budget == 0.5
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_default_normalisation_matches_fraction_oracle(self, dim):
+        # 2^k cells inside one random cube, so that tau*L*|P| * 2^(-j*s) is
+        # often an integer and some cubes hold exactly that many cells
+        rng = np.random.default_rng(70 + dim)
+        snapped = sorted({Fraction(p, q) for q in (1, 2, 3, 4) for p in range(1, q * dim + 1)})
+        ties = 0
+        for _ in range(100):
+            level = int(rng.integers(1, 13))
+            k = int(rng.integers(0, min(8, level * dim) + 1))
+            top = int(rng.integers(0, level - (k - 1) // dim))  # 2^k cells fit below
+            width = level - top
+            picks = rng.choice(1 << (width * dim), size=1 << k, replace=False)
+            offsets = [(picks >> (width * d)) & ((1 << width) - 1) for d in range(dim)]
+            corner = rng.integers(0, 1 << top, size=dim) << width
+            P = GridPointSet(dim, level, np.stack(offsets, axis=1) + corner)
+            frac = snapped[int(rng.integers(len(snapped)))]
+            tau, L = [(4.0**-dim, 2.0 * 4**dim), (0.5, 3.0), (0.3, 7.0)][int(rng.integers(3))]
+            want, tied = heavy_cubes_oracle(P, frac, tau, L)
+            assert heavy_decompose(P, float(frac), L=L, tau=tau).maximal_heavy.tolist() == want
+            ties += tied
+        assert ties >= 10
 
     def test_weight_bound_and_net_regularity(self, rng):
         for seed in range(8):
@@ -284,7 +324,7 @@ class TestFrostmanSubset:
             dim = int(rng.integers(1, 3))
             P = random_subset(rng, dim, int(rng.integers(2, 7 if dim == 1 else 5)))
             for s in (0.5, 0.75, 1.0):
-                S = frostman_subset(P, min(s, dim), min_fraction=0.0)
+                S = frostman_subset(P, min(s, dim))
                 want = frostman_oracle(P, min(s, dim))
                 assert S.cells.tolist() == [list(c) for c in sorted(want)]
                 binding += len(S) < len(P)
