@@ -2,11 +2,13 @@ from setuptools import Extension, setup
 
 # The pair kernels are plain C loaded with ctypes (dyadicproj._core), not a
 # Python extension module: the build needs only a C compiler.
-# -ffp-contract=off keeps the pair predicates bit-identical to the numpy
-# fallback (no FMA contraction of d*d sums).  -fno-math-errno lets sqrt
-# compile to the vector instruction, which the Riesz row sums need to run
-# their lanes side by side; it changes no value, because the argument, a
-# sum of squares, is never negative, so sqrt never sets errno.
+# -ffp-contract=off keeps the pair predicates and the Riesz row sums
+# bit-identical to the numpy fallback: no FMA contraction of d*d sums, also
+# in the AVX-512F clone of riesz_row_sums, whose target has FMA.
+# -fno-math-errno lets sqrt compile to the vector instruction in every
+# clone, which the Riesz row sums need to run their lanes side by side; it
+# changes no value, because the argument, a sum of squares, is never
+# negative, so sqrt never sets errno.
 setup(
     ext_modules=[
         Extension(

@@ -72,15 +72,33 @@ long long pair_count(const double *x, long long n, long long m, double delta)
  * inside the block (j < i0 + W) on its own; then all lanes advance together
  * over j >= i0 + W, each with its own accumulator, so the compiler can
  * vectorise the sqrt and the divisions across lanes without reordering any
- * lane's sum.  Returns -1 when m is out of range, else 0. */
+ * lane's sum.  Returns -1 when m is out of range, else 0.
+ *
+ * On x86-64 with glibc the function is built once per vector width
+ * (AVX-512F, AVX2 and the baseline SSE2), and the loader's ifunc resolver
+ * binds the widest one the CPU runs.  The clones compute the same bits:
+ * each lane's operations and their order are those of the source, sqrt and
+ * division round correctly at every width, and -ffp-contract=off keeps
+ * fused multiply-adds, which the AVX-512F target has, out of the squared
+ * sums.  Elsewhere the attribute is empty and the one baseline build
+ * remains. */
 #define MAX_DIM 8
 #define W 8
 
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define VECTOR_CLONES
+#endif
+
+VECTOR_CLONES
 int riesz_row_sums(const double *pts, long long n, long long m, int power, double *out)
 {
     double xi[MAX_DIM][W], acc[W], r2[W], term[W];
-    long long i0, i, j, t, l, lanes;
-    int p;
+    long long i0, i, j, lanes;
+    /* int, not long long: under the -fwrapv of Python's build flags, GCC 12
+     * leaves the AVX2 clone scalar with long long lane counters */
+    int t, l, p;
     double d, r, q;
     if (m < 1 || m > MAX_DIM)
         return -1;

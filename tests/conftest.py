@@ -31,21 +31,26 @@ from dyadicproj.grid import GridPointSet
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="session")
-def impls(tmp_path_factory):
-    """Both backends, the compiled one built from _ckernels.c by setup.py
-    (same compiler and flags as an install) into a temporary directory."""
+def build_kernels(root: Path, out: Path) -> _core.CompiledKernels:
+    """The compiled kernels, built from root/src/dyadicproj/_ckernels.c by
+    root/setup.py (same compiler and flags as an install) into out.  Skips
+    the calling test when there is no C compiler."""
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler ({cc}) to build the compiled kernels")
-    out = tmp_path_factory.mktemp("ckernels")
     subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
-        cwd=ROOT, check=True, capture_output=True, timeout=300,
+        cwd=root, check=True, capture_output=True, timeout=300,
     )
     (lib,) = (out / "lib" / "dyadicproj").glob("_ckernels*")
-    return {"python": _core_py, "compiled": _core.load(lib)}
+    return _core.load(lib)
+
+
+@pytest.fixture(scope="session")
+def impls(tmp_path_factory):
+    """Both backends, the compiled one built from this checkout."""
+    return {"python": _core_py, "compiled": build_kernels(ROOT, tmp_path_factory.mktemp("ckernels"))}
 
 
 def all_dyadic_covers(P: GridPointSet, j_min: int = 0):

@@ -1,4 +1,5 @@
 import math
+import platform
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from dyadicproj.grid import GridPointSet
 from dyadicproj.kernels import backend_name, coincidence_count, riesz_pair_sum
 from dyadicproj.projection import Plane, project_points
 
-from conftest import pair_energy_oracle
+from conftest import ROOT, build_kernels, pair_energy_oracle
 
 
 @pytest.mark.parametrize("pure,warns", [("", True), ("1", False)])
@@ -68,20 +69,70 @@ def _lattice_centers(rng, dim: int, n: int) -> np.ndarray:
     return GridPointSet(dim, level, cells).centers()
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
-def test_backends_agree_on_riesz_exactly(impls, dim, monkeypatch):
-    # sizes around the C lane width (8), and rows about 2048 long
+RIESZ_DIMS = [1, 2, 3, 4, 8]
+
+
+def _riesz_cases(dim: int):
+    """(points, power) for every power up to dim: lattice centres of sizes
+    around the C lane width (8) and rows about 2048 long; uniform points,
+    whose squares round, so a fused multiply-add would change the sums; and
+    a repeated point, whose zero distance makes the first row inf."""
     rng = np.random.default_rng(70 + dim)
-    for n in (2, 7, 8, 9, 2047, 2048, 2049):
-        pts = _lattice_centers(rng, dim, n)
+    sets = [_lattice_centers(rng, dim, n) for n in (2, 7, 8, 9, 2047, 2048, 2049)]
+    sets += [rng.random((n, dim)) for n in (9, 2049)]
+    sets.append(np.array([[0.0] * dim, [0.0] * dim, [1.0] * dim]))
+    for pts in sets:
         for power in range(1, dim + 1):
-            rows = [impl.riesz_row_sums(pts, power) for impl in impls.values()]
-            assert np.array_equal(rows[0], rows[1])
-            assert rows[0][-1] == 0.0
-            if n < 100:
-                for impl in impls.values():
-                    monkeypatch.setattr(kernels, "_active", impl)
-                    assert riesz_pair_sum(pts, power) == 2.0 * math.fsum(rows[0])
+            yield pts, power
+
+
+@pytest.mark.parametrize("dim", RIESZ_DIMS)
+def test_backends_agree_on_riesz_exactly(impls, dim, monkeypatch):
+    for pts, power in _riesz_cases(dim):
+        rows = [impl.riesz_row_sums(pts, power) for impl in impls.values()]
+        assert np.array_equal(rows[0], rows[1])
+        assert rows[0][-1] == 0.0
+        if len(pts) < 100:
+            for impl in impls.values():
+                monkeypatch.setattr(kernels, "_active", impl)
+                assert riesz_pair_sum(pts, power) == 2.0 * math.fsum(rows[0])
+
+
+_CLONES = 'target_clones("avx512f", "avx2", "default")'
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {f for line in lines if line.startswith("flags") for f in line.split(":", 1)[1].split()}
+
+
+@pytest.fixture(scope="module")
+def riesz_reference():
+    """The fallback's rows on every input of _riesz_cases."""
+    return [(pts, power, _core_py.riesz_row_sums(pts, power))
+            for dim in RIESZ_DIMS for pts, power in _riesz_cases(dim)]
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
+                    reason="the clones are built on x86-64 with glibc only")
+@pytest.mark.parametrize("target", ["avx512f", "avx2", "default"])
+def test_every_riesz_clone_matches_the_fallback(tmp_path, target, riesz_reference):
+    # a library runs only the clone its CPU dispatches to, so build a copy of
+    # _ckernels.c with the one target in place of the clone list, through
+    # setup.py and its flags, for each target this CPU runs
+    if target != "default" and target not in _cpu_flags():
+        pytest.skip(f"this CPU does not run {target}")
+    text = (ROOT / "src" / "dyadicproj" / "_ckernels.c").read_text()
+    assert text.count(_CLONES) == 1
+    (tmp_path / "src" / "dyadicproj").mkdir(parents=True)
+    (tmp_path / "src" / "dyadicproj" / "_ckernels.c").write_text(text.replace(_CLONES, f'target("{target}")'))
+    shutil.copy(ROOT / "setup.py", tmp_path)
+    clone = build_kernels(tmp_path, tmp_path)
+    for pts, power, want in riesz_reference:
+        assert np.array_equal(clone.riesz_row_sums(pts, power), want)
 
 
 def riesz_oracle(pts: np.ndarray, power: int) -> float:
@@ -235,6 +286,14 @@ def _count_cases(m: int):
     yield tiny, 0.0
     yield tiny, 2.0**-545
     yield _by_first(rng.integers(-3, 4, size=(40, m)) * 1e170), 1e155
+    # squares that overflow while delta^2 is finite: in the second
+    # coordinate, or for m = 1 in the first, within the slack of the slab end
+    if m == 1:
+        yield np.array([[1e300], [1e300 * (1 + 2.0**-45)]]), 1.0
+    else:
+        far = np.zeros((3, m))
+        far[:, 0], far[:, 1] = [0.0, 0.5, 0.7], [0.0, 1e170, -1e170]
+        yield far, 1.0
     frames = [(dim, f) for (dim, k), fs in TIE_FRAMES.items() if k == m for f in fs]
     for dim, frame in frames or [(3, np.eye(3))]:
         centers = _lattice_centers(rng, dim, int(rng.integers(2000, 4001)))
