@@ -7,8 +7,9 @@ at import.  Setting the environment variable DYADICPROJ_PURE_PYTHON=1
 before import forces the fallback without a warning.  Both backends
 implement the same four functions: `pair_count`, which tests every pair
 that can be close with the same counting predicate for every m, so they
-return equal integers (C sweeps each row's slab with two pointers, the
-fallback bounds it by two proved searches);
+return equal integers (C sweeps each row's slab with two pointers, for
+m = 1 after counting each row's next 16 rows at the vector width; the
+fallback bounds the slab by two proved searches);
 `riesz_row_sums`, the same Riesz terms added in the same order, so
 `riesz_pair_sum` is equal on both; and the row codec of the text formats,
 `format_rows`, which writes the same text, and `parse_rows`, which either

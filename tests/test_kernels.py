@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -116,13 +117,22 @@ def riesz_reference():
             for dim in RIESZ_DIMS for pts, power in _riesz_cases(dim)]
 
 
+@pytest.fixture(scope="module")
+def count_reference():
+    """The fallback's counts on every input of _count_cases, m = 1, 2, 3."""
+    return [(x, delta, _core_py.pair_count(x, delta))
+            for m in (1, 2, 3) for x, delta in _count_cases(m)]
+
+
 @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
                     reason="the clones are built on x86-64 with glibc only")
 @pytest.mark.parametrize("target", ["avx512f", "avx2", "default"])
-def test_every_riesz_clone_matches_the_fallback(tmp_path, target, riesz_reference):
+def test_every_riesz_clone_matches_the_fallback(tmp_path, target, riesz_reference, count_reference):
     # a library runs only the clone its CPU dispatches to, so build a copy of
     # _ckernels.c with the one target in place of the clone list, through
-    # setup.py and its flags, for each target this CPU runs
+    # setup.py and its flags, for each target this CPU runs; the copy's
+    # Riesz rows and pair counts (the m = 1 window is cloned too) must be
+    # the fallback's
     if target != "default" and target not in _cpu_flags():
         pytest.skip(f"this CPU does not run {target}")
     text = (ROOT / "src" / "dyadicproj" / "_ckernels.c").read_text()
@@ -133,6 +143,8 @@ def test_every_riesz_clone_matches_the_fallback(tmp_path, target, riesz_referenc
     clone = build_kernels(tmp_path, tmp_path)
     for pts, power, want in riesz_reference:
         assert np.array_equal(clone.riesz_row_sums(pts, power), want)
+    for x, delta, want in count_reference:
+        assert clone.pair_count(x, delta) == want
 
 
 def riesz_oracle(pts: np.ndarray, power: int) -> float:
@@ -263,11 +275,24 @@ def _cell_side(centers: np.ndarray) -> float:
     return float(np.diff(np.unique(centers[:, 0])).min())
 
 
+# K and BLOCK of _ckernels.c: for m = 1 the compiled count first takes each
+# row's next K rows, BLOCK rows at a time
+WINDOW, BLOCK = 16, 1024
+
+
+def _first_axis(z: np.ndarray, m: int) -> np.ndarray:
+    """Rows with first coordinates z and every other coordinate 0."""
+    x = np.zeros((len(z), m))
+    x[:, 0] = z
+    return x
+
+
 def _count_cases(m: int):
     """(rows sorted by the first coordinate, delta): random sets, one of them
     with slabs wider than _core_py._PAIR_CHUNK pairs in all, a knife edge,
-    the ends of the float range, and lattice centres of 2,000-4,000 cells on
-    the tie frames (for m = 3, the centres themselves)."""
+    the ends of the float range, the edges of the compiled m = 1 window, and
+    lattice centres of 2,000-4,000 cells on the tie frames (for m = 3, the
+    centres themselves)."""
     rng = np.random.default_rng(5 + m)
     for _ in range(10):
         pts = rng.random((int(rng.integers(1, 400)), m))
@@ -294,6 +319,27 @@ def _count_cases(m: int):
         far = np.zeros((3, m))
         far[:, 0], far[:, 1] = [0.0, 0.5, 0.7], [0.0, 1e170, -1e170]
         yield far, 1.0
+    # sizes around the window and the block, with slabs near WINDOW rows wide
+    for n in (1, WINDOW, WINDOW + 1, WINDOW + 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        z = np.sort(rng.random(n))
+        yield _first_axis(z, m), WINDOW / n
+        yield _first_axis(z, m), WINDOW / (2 * n)
+    # equally spaced rows with slabs exactly WINDOW - 1, WINDOW and WINDOW + 1
+    # wide, each one row narrower at the delta just below; the spacing 0.1
+    # rounds, so there the widths vary from row to row
+    for h in (2.0**-10, 0.1):
+        z = np.arange(100) * h
+        for w in (WINDOW - 1, WINDOW, WINDOW + 1):
+            for delta in (w * h, np.nextafter(w * h, 0.0), np.nextafter(w * h, 1.0)):
+                yield _first_axis(z, m), float(delta)
+    # one run of equal rows longer than a block: every pair is close
+    yield _first_axis(np.full(BLOCK + 500, 0.5), m), 0.0
+    # rows whose slabs exceed the window throughout, and a run of 61 equal
+    # rows at the first block edge: the sweep carries hi across block edges
+    h = 2.0**-10
+    yield _first_axis(np.arange(2 * BLOCK + 100) * h, m), (WINDOW + 4) * h
+    z = np.concatenate([np.arange(1000), np.full(61, 1000), np.arange(1001, 2001)]) * h
+    yield _first_axis(z, m), 2 * h
     frames = [(dim, f) for (dim, k), fs in TIE_FRAMES.items() if k == m for f in fs]
     for dim, frame in frames or [(3, np.eye(3))]:
         centers = _lattice_centers(rng, dim, int(rng.integers(2000, 4001)))
@@ -310,6 +356,20 @@ def test_backends_agree_on_pair_counts(impls, m):
         assert len(got) == 1
         if len(x) <= 400:
             assert got == {pair_energy_oracle(x, delta)}
+        elif (x == x[0]).all():
+            assert got == {len(x) ** 2}
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_one_slab_of_every_row_counts_in_linear_time(impls, backend):
+    # every row of an m = 1 run of equal rows is past the compiled window, and
+    # each continues the sweep from where the last one stopped; restarted at
+    # each row, the sweep would take n^2 / 2 steps, seconds at this n.  The
+    # fallback counts these pairs without a test, as delta exceeds its slack
+    x = np.full((1 << 17, 1), 0.25)
+    start = time.perf_counter()
+    assert impls[backend].pair_count(x, 2.0**-10) == len(x) ** 2
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("dim,m", [(2, 1), (3, 2)])
