@@ -2,11 +2,12 @@
 
 `setup.py build_ext --inplace` (or an install) builds the C file into a
 shared library next to this module.  `load` opens it and wraps its two
-pair kernels, `pair_count` and `riesz_row_sums`, and its row codec,
-`parse_rows` and `format_rows`, under the names and signatures of the
-numpy fallback in _core_py.  A library that lacks any of the four (one
-built from an older _ckernels.c) counts as not built.  ctypes releases the
-GIL during each foreign call, so threads can run the kernels side by side.
+pair kernels, `pair_count` and `riesz_row_sums`, the m = 1 bin profile
+`bin_profile`, and its row codec, `parse_rows` and `format_rows`, under
+the names and signatures of the numpy fallback in _core_py.  A library
+that lacks any of the five (one built from an older _ckernels.c) counts
+as not built.  ctypes releases the GIL during each foreign call, so
+threads can run the kernels side by side.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _LL = ctypes.c_longlong
 _LL_P = ctypes.POINTER(ctypes.c_longlong)
-_SYMBOLS = ("pair_count", "riesz_row_sums", "parse_rows", "format_rows")
+_SYMBOLS = ("pair_count", "riesz_row_sums", "bin_profile", "parse_rows", "format_rows")
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -38,6 +39,8 @@ class CompiledKernels:
         lib.pair_count.restype = _LL
         lib.riesz_row_sums.argtypes = [_DOUBLE_P, _LL, _LL, ctypes.c_int, _DOUBLE_P]
         lib.riesz_row_sums.restype = ctypes.c_int
+        lib.bin_profile.argtypes = [_DOUBLE_P, _LL, ctypes.c_double, ctypes.c_double, _LL, _LL_P]
+        lib.bin_profile.restype = _LL
         lib.parse_rows.argtypes = [ctypes.c_char_p, _LL, _LL, _LL_P, _LL]
         lib.parse_rows.restype = _LL
         lib.format_rows.argtypes = [_LL_P, _LL, _LL, ctypes.c_char_p]
@@ -63,6 +66,19 @@ class CompiledKernels:
         if status:
             raise ValueError(f"riesz row sums take 1 to 8 coordinates, got {m}")
         return out
+
+    def bin_profile(self, z: np.ndarray, scale: float, delta: float, kappa: int) -> tuple[int, int]:
+        """(points within 1e-9*delta of a bin face, fewest bins holding kappa
+        points) for sorted finite coordinates z binned at 1/scale, with
+        1 <= kappa <= len(z)."""
+        z = np.ascontiguousarray(z, dtype=np.float64)
+        cover = _LL()
+        near = self._lib.bin_profile(
+            z.ctypes.data_as(_DOUBLE_P), len(z), scale, delta, kappa, ctypes.byref(cover)
+        )
+        if near < 0:
+            raise MemoryError("bin_profile could not allocate its run histogram")
+        return near, cover.value
 
     def parse_rows(self, buf, width: int) -> np.ndarray | None:
         """The (N, width) int64 rows of a bytes-like buffer in the canonical

@@ -5,13 +5,17 @@ by _core) are used when the shared library is present and current;
 otherwise the numpy fallback (_core_py) takes over, with a RuntimeWarning
 at import.  Setting the environment variable DYADICPROJ_PURE_PYTHON=1
 before import forces the fallback without a warning.  Both backends
-implement the same four functions: `pair_count`, which tests every pair
+implement the same five functions: `pair_count`, which tests every pair
 that can be close with the same counting predicate for every m, so they
 return equal integers (C sweeps each row's slab with two pointers, for
 m = 1 after counting each row's next 16 rows at the vector width; the
 fallback bounds the slab by two proved searches);
 `riesz_row_sums`, the same Riesz terms added in the same order, so
-`riesz_pair_sum` is equal on both; and the row codec of the text formats,
+`riesz_pair_sum` is equal on both; `bin_profile`, which bins sorted
+m = 1 coordinates at a dyadic side and returns the points near a bin face
+and the fewest bins holding kappa points, from the same float operations
+(C in one pass with a histogram of run lengths, the fallback by sorting
+the run lengths); and the row codec of the text formats,
 `format_rows`, which writes the same text, and `parse_rows`, which either
 reads canonical rows or declines.  The fallback's parser declines every
 input; a declined read runs grid's general reader, the reference.
@@ -50,6 +54,7 @@ __all__ = [
     "backend_name",
     "coincidence_count",
     "riesz_pair_sum",
+    "bin_profile",
     "parse_rows",
     "format_rows",
 ]
@@ -71,6 +76,20 @@ def _sorted_by_first(coords: np.ndarray, copy: bool = True) -> np.ndarray:
     return coords
 
 
+def _finite_sorted(coords: np.ndarray) -> np.ndarray:
+    """_sorted_by_first(coords), refusing non-finite rows.  The sort puts NaN
+    last and infinities at the ends, so the first column's two end entries
+    speak for the whole column."""
+    x = _sorted_by_first(coords)
+    if len(x) and not (
+        math.isfinite(x[0, 0])
+        and math.isfinite(x[-1, 0])
+        and (x.shape[1] == 1 or np.isfinite(x[:, 1:]).all())
+    ):
+        raise ValueError("coords must be finite")
+    return x
+
+
 def coincidence_count(coords: np.ndarray, delta: float) -> int:
     """Ordered pairs (diagonal included) of rows within Euclidean distance delta.
 
@@ -79,7 +98,7 @@ def coincidence_count(coords: np.ndarray, delta: float) -> int:
     the count is 2 * (close pairs) + len(coords).  The sort need not be
     stable: the predicate is symmetric bit for bit and its sum is never below
     the first coordinate's square, so tied rows may come in any order.
-    delta must be finite and >= 0.
+    delta must be finite and >= 0, and the rows finite.
     """
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] == 0:
@@ -87,7 +106,7 @@ def coincidence_count(coords: np.ndarray, delta: float) -> int:
     delta = float(delta)
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    return int(_active.pair_count(_sorted_by_first(coords), delta))
+    return int(_active.pair_count(_finite_sorted(coords), delta))
 
 
 def riesz_pair_sum(points: np.ndarray, power: int) -> float:
@@ -106,6 +125,22 @@ def riesz_pair_sum(points: np.ndarray, power: int) -> float:
     if power < 1:
         raise ValueError("power must be a positive integer")
     return 2.0 * math.fsum(_active.riesz_row_sums(points, int(power)))
+
+
+def bin_profile(coords: np.ndarray, scale: float, delta: float, kappa: int) -> tuple[int, int]:
+    """(near, fewest) for (N, 1) finite coordinates binned into the cells
+    [k / scale, (k + 1) / scale): near counts the points with
+    min(frac, 1 - frac) / scale < 1e-9*delta, frac the part of
+    coordinate * scale above its floor, and fewest is the least number of
+    bins holding kappa points, 1 <= kappa <= N.  The same integers on every
+    backend."""
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[1] != 1:
+        raise ValueError(f"coords must be an (N, 1) array, got shape {coords.shape}")
+    if not 1 <= kappa <= len(coords):
+        raise ValueError(f"kappa={kappa} outside [1, {len(coords)}]")
+    z = _finite_sorted(coords)[:, 0]
+    return _active.bin_profile(z, float(scale), float(delta), int(kappa))
 
 
 def parse_rows(buf, width: int) -> np.ndarray | None:

@@ -78,19 +78,32 @@ def haar_sample(n: int, m: int, rng: np.random.Generator) -> Plane:
     vector is normalized (first nonzero entry positive) so the frame is a
     deterministic function of the draw.
     """
+    return _haar_planes(n, m, [rng])[0]
+
+
+def _haar_frames(gauss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-normalized orthonormal frames (S, m, n) of a stack of Gaussian
+    draws (S, n, m), and whether each draw had full rank (|diag R| > 1e-12).
+    One QR call factors the whole stack, matrix by matrix as it factors one."""
+    q, r = np.linalg.qr(gauss)
+    full_rank = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 1e-12
+    frames = np.swapaxes(q, 1, 2)
+    first = np.argmax(frames != 0.0, axis=2)  # 0 for an all-zero row
+    lead = np.take_along_axis(frames, first[..., None], axis=2)
+    return np.where(lead < 0.0, -frames, frames), full_rank
+
+
+def _haar_planes(n: int, m: int, rngs: list[np.random.Generator]) -> list[Plane]:
+    """haar_sample(n, m, rng) for each generator, from one QR of the stacked
+    draws; a rank-deficient draw is redrawn from its own generator."""
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m} n={n}")
-    while True:
-        gauss = rng.standard_normal((n, m))
-        q, r = np.linalg.qr(gauss)
-        if np.abs(np.diagonal(r)).min() > 1e-12:
-            break
-    frame = np.ascontiguousarray(q.T)
-    for row in frame:
-        nz = np.flatnonzero(row != 0.0)
-        if nz.size and row[nz[0]] < 0.0:
-            row *= -1.0
-    return Plane(n, m, frame)
+    frames, full_rank = _haar_frames(np.stack([rng.standard_normal((n, m)) for rng in rngs]))
+    for i in np.flatnonzero(~full_rank):
+        while not full_rank[i]:
+            frame, ok = _haar_frames(rngs[i].standard_normal((1, n, m)))
+            frames[i], full_rank[i] = frame[0], ok[0]
+    return [Plane(n, m, frame) for frame in frames]
 
 
 def project_points(V: Plane, P: GridPointSet) -> np.ndarray:
@@ -151,27 +164,23 @@ def _bin_profile(coords: np.ndarray, delta: float, kappa: int) -> tuple[int, int
 
     A point is near a boundary when one of its coordinates lies within
     1e-9*delta of a bin face: its bin assignment is a coin flip at double
-    precision.  For m = 1 the bins of the sorted coordinates never
-    decrease, so bin occupancy is the run lengths of the bin indices.
+    precision.  For m = 1 the backend's bin_profile computes both from the
+    coordinates in sorted order (see kernels).
     """
     n_pts, m = coords.shape
     if not 1 <= kappa <= n_pts:
         raise ValueError(f"kappa={kappa} outside [1, {n_pts}]")
     scale = float(1 << _bin_level(m, delta))
-    scaled = (kernels._sorted_by_first(coords)[:, 0] if m == 1 else coords) * scale
+    if m == 1:
+        return kernels.bin_profile(coords, scale, delta, kappa)
+    scaled = coords * scale
     bins = np.floor(scaled)
     frac = scaled - bins
     near = np.minimum(frac, 1.0 - frac) / scale < 1e-9 * delta
-    if m == 1:
-        n_boundary = int(near.sum())
-        edges = np.concatenate(([True], bins[1:] != bins[:-1], [True]))
-        counts = np.diff(np.flatnonzero(edges))
-    else:
-        n_boundary = int(near.any(axis=1).sum())
-        counts = np.bincount(_unique_rows(bins.astype(np.int64))[1])
+    counts = np.bincount(_unique_rows(bins.astype(np.int64))[1])
     counts[::-1].sort()
     filled = np.cumsum(counts)
-    return n_boundary, int(np.searchsorted(filled, kappa) + 1)
+    return int(near.any(axis=1).sum()), int(np.searchsorted(filled, kappa) + 1)
 
 
 def min_projection_cover(
@@ -292,6 +301,9 @@ class ScanReport:
         return self.budget > 0.5
 
 
+_DRAW_BLOCK = 1024  # Haar planes per QR call of a scan
+
+
 def _derived_seed(master_seed: int, index: int) -> tuple[np.random.SeedSequence, int]:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return ss, int(ss.generate_state(1, np.uint64)[0])
@@ -339,9 +351,11 @@ def direction_scan(
     min_cover counts the bins holding kappa = ceil(delta^(-s+eps)) points,
     capped at |P|: the subset size the classification speaks about.  Direction
     i draws from a stream derived from (master_seed, i), so the report is
-    identical for any worker count.  The mean sampled energy is reported
-    next to its geometric ceiling 2^n * (delta^m * riesz + |P|).  s, eps
-    and m are checked before any direction is drawn, so a scan of no
+    identical for any worker count.  The planes are drawn before any is
+    classified, with one QR call per _DRAW_BLOCK of them, and each is the
+    plane haar_sample draws from its stream.  The mean sampled energy is
+    reported next to its geometric ceiling 2^n * (delta^m * riesz + |P|).
+    s, eps and m are checked before any direction is drawn, so a scan of no
     directions refuses what a scan of many would.
     """
     if num_samples < 0:
@@ -351,10 +365,18 @@ def direction_scan(
     n_pts = len(P)
     kappa = _subset_size(P.level, s, eps, n_pts)
 
+    # at most _DRAW_BLOCK generators are alive at once
+    seeds, planes = [], []
+    for start in range(0, num_samples, _DRAW_BLOCK):
+        block = range(start, min(num_samples, start + _DRAW_BLOCK))
+        streams = [_derived_seed(master_seed, i) for i in block]
+        seeds += [seed for _, seed in streams]
+        planes += _haar_planes(P.dim, m, [np.random.default_rng(ss) for ss, _ in streams])
+
     def one(index: int) -> DirectionRecord:
-        ss, seed = _derived_seed(master_seed, index)
-        V = haar_sample(P.dim, m, np.random.default_rng(ss))
-        return DirectionRecord(index, seed, V.frame, *classify_direction(P, V, s, eps, kappa))
+        V = planes[index]
+        record = classify_direction(P, V, s, eps, kappa)
+        return DirectionRecord(index, seeds[index], V.frame, *record)
 
     if workers <= 1:
         records = [one(i) for i in range(num_samples)]

@@ -144,13 +144,16 @@ def _check_parity(impls, monkeypatch, corpus, path, read):
     """Every file reads the same on both backends.  Returns the counts of
     (rows read by the compiled parser, rows it declined, errors)."""
     stats = [0, 0, 0]
-    for text in corpus:
-        path.write_bytes(text.encode())
+    for i, text in enumerate(corpus):
+        # a fresh name per file: truncating and rewriting one path can cost
+        # tens of milliseconds on ext4
+        file = path.with_name(f"{i}_{path.name}")
+        file.write_bytes(text.encode())
         monkeypatch.setattr(kernels, "_active", impls["python"])
-        want = _outcome(read, path)
+        want = _outcome(read, file)
         spy = _Spy(impls["compiled"])
         monkeypatch.setattr(kernels, "_active", spy)
-        assert _outcome(read, path) == want, text
+        assert _outcome(read, file) == want, text
         # a read that succeeds ends on its rows
         accepted = bool(spy.results) and spy.results[-1] is not None
         stats[2 if isinstance(want, tuple) else 0 if accepted else 1] += 1

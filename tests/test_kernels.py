@@ -5,6 +5,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+from collections import Counter
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -55,6 +56,21 @@ def test_library_without_row_codec_counts_as_not_built(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["python"]
     assert "RuntimeWarning: dyadicproj: compiled pair kernels not built" in proc.stderr
+
+
+def test_library_without_bin_profile_counts_as_not_built(tmp_path):
+    # a library built before the m = 1 bin profile was compiled
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the stub library")
+    (tmp_path / "stub.c").write_text(
+        "".join(f"int {name}(void) {{ return 0; }}\n"
+                for name in _core._SYMBOLS if name != "bin_profile")
+    )
+    stub = tmp_path / "stub.so"
+    subprocess.run([cc, "-shared", "-fPIC", "-o", str(stub), str(tmp_path / "stub.c")],
+                   check=True, capture_output=True, timeout=60)
+    assert _core.load(stub) is None
 
 
 def test_backend_reports_a_name():
@@ -131,8 +147,8 @@ def test_every_riesz_clone_matches_the_fallback(tmp_path, target, riesz_referenc
     # a library runs only the clone its CPU dispatches to, so build a copy of
     # _ckernels.c with the one target in place of the clone list, through
     # setup.py and its flags, for each target this CPU runs; the copy's
-    # Riesz rows and pair counts (the m = 1 window is cloned too) must be
-    # the fallback's
+    # Riesz rows, pair counts (the m = 1 window is cloned too) and m = 1
+    # bin profiles must be the fallback's
     if target != "default" and target not in _cpu_flags():
         pytest.skip(f"this CPU does not run {target}")
     text = (ROOT / "src" / "dyadicproj" / "_ckernels.c").read_text()
@@ -145,6 +161,10 @@ def test_every_riesz_clone_matches_the_fallback(tmp_path, target, riesz_referenc
         assert np.array_equal(clone.riesz_row_sums(pts, power), want)
     for x, delta, want in count_reference:
         assert clone.pair_count(x, delta) == want
+    for z, scale, delta in _profile_cases():
+        for kappa in range(1, len(z) + 1):
+            want = _core_py.bin_profile(z, scale, delta, kappa)
+            assert clone.bin_profile(z, scale, delta, kappa) == want
 
 
 def riesz_oracle(pts: np.ndarray, power: int) -> float:
@@ -406,6 +426,81 @@ def test_tie_heavy_frames_count_symmetrically(impls, dim, m, monkeypatch):
                     got = coincidence_count(coords, delta)
                     assert (got - len(P)) % 2 == 0
                     assert got == want
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_non_finite_rows_are_refused(impls, backend, monkeypatch):
+    # unchecked, 20 rows at 0.1 and one NaN row at delta = 0.5 counted 409
+    # compiled and 401 on the fallback
+    monkeypatch.setattr(kernels, "_active", impls[backend])
+    for bad in (math.nan, math.inf, -math.inf):
+        x = np.append(np.full(20, 0.1), bad)[:, None]
+        for rows in (x, x[::-1], x[:1] * 0 + bad):
+            with pytest.raises(ValueError, match="coords must be finite"):
+                coincidence_count(rows, 0.5)
+            with pytest.raises(ValueError, match="coords must be finite"):
+                kernels.bin_profile(rows, 4.0, 0.5, 1)
+        for column in (0, 1):
+            y = np.full((21, 2), 0.1)
+            y[7, column] = bad
+            with pytest.raises(ValueError, match="coords must be finite"):
+                coincidence_count(y, 0.5)
+    assert coincidence_count(np.full((20, 1), 0.1), 0.5) == 400
+
+
+def _profile_oracle(z, scale: float, delta: float, kappa: int) -> tuple[int, int]:
+    """The bin profile in plain Python floats: each point's near test as the
+    backends form it, and the fullest bins taken first."""
+    near, bins = 0, Counter()
+    for x in z.tolist():
+        scaled = x * scale
+        frac = scaled - math.floor(scaled)
+        near += min(frac, 1.0 - frac) / scale < 1e-9 * delta
+        bins[math.floor(scaled)] += 1
+    held = 0
+    for used, c in enumerate(sorted(bins.values(), reverse=True), 1):
+        held += c
+        if held >= kappa:
+            return near, used
+    raise ValueError("kappa exceeds the number of points")
+
+
+def _profile_cases():
+    """(sorted coordinates, scale, delta) for the m = 1 bin profile."""
+    rng = np.random.default_rng(61)
+    for scale, delta in ((1.0, 1.0), (8.0, 0.125), (1024.0, 2.0**-10), (2.0**20, 3e-6)):
+        tol = 1e-9 * delta
+        faces = np.arange(-3, 4) / scale
+        # on the faces, within tol of them, and at tol and its neighbours
+        offsets = [0.0, tol / 2, tol, 2 * tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0)]
+        offsets += [-o for o in offsets] + [np.nextafter(0.0, 1.0), 0.5 / scale]
+        near_faces = (faces[:, None] + np.array(offsets)[None, :]).ravel()
+        yield np.sort(np.concatenate([near_faces, [tol, -tol]])), scale, delta
+        yield np.sort(rng.uniform(-1, 1, 300)), scale, delta
+        # one bin, and every bin distinct
+        yield np.sort(rng.uniform(0.25, 0.75, 40)) / scale, scale, delta
+        yield (np.arange(40) + 0.5) / scale, scale, delta
+        yield np.array([0.3 / scale]), scale, delta
+        # runs of 3, 3, 3, 2, 2 and 1: equal run lengths at the kappa boundary
+        runs = np.repeat(np.arange(6), [3, 2, 3, 1, 3, 2]) + 0.5
+        yield np.sort(runs + rng.uniform(-0.4, 0.4, len(runs))) / scale, scale, delta
+
+
+def test_backends_agree_on_bin_profiles(impls):
+    for z, scale, delta in _profile_cases():
+        for kappa in range(1, len(z) + 1):
+            want = _profile_oracle(z, scale, delta, kappa)
+            for impl in impls.values():
+                assert impl.bin_profile(z, scale, delta, kappa) == want
+            assert kernels.bin_profile(z[::-1, None], scale, delta, kappa) == want
+
+
+def test_bin_profile_refuses_kappa_outside_the_points():
+    for kappa in (0, 4):
+        with pytest.raises(ValueError, match="kappa"):
+            kernels.bin_profile(np.zeros((3, 1)), 1.0, 1.0, kappa)
+    with pytest.raises(ValueError, match="N, 1"):
+        kernels.bin_profile(np.zeros((3, 2)), 1.0, 1.0, 1)
 
 
 def test_python_backend_explicit(monkeypatch):

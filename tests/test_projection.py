@@ -16,6 +16,7 @@ from dyadicproj.grid import GridPointSet
 from dyadicproj.projection import (
     Plane,
     _bin_profile,
+    _derived_seed,
     _over_budget,
     _subset_size,
     classify_direction,
@@ -107,6 +108,92 @@ class TestHaarSample:
             for row in V.frame:
                 nz = row[row != 0.0]
                 assert nz[0] > 0
+
+
+class _RankDeficientFirst:
+    """A generator whose first Gaussian draw is all zeros, then the stream of
+    `rng`."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        return np.zeros(shape) if self.draws == 1 else self.rng.standard_normal(shape)
+
+
+def haar_frame_oracle(n: int, m: int, rng) -> np.ndarray:
+    """One QR of one (n, m) draw, redrawn while rank-deficient, and each
+    frame row's sign set by its first nonzero entry, row by row."""
+    while True:
+        q, r = np.linalg.qr(rng.standard_normal((n, m)))
+        if np.abs(np.diagonal(r)).min() > 1e-12:
+            break
+    frame = np.ascontiguousarray(q.T)
+    for row in frame:
+        nz = np.flatnonzero(row != 0.0)
+        if nz.size and row[nz[0]] < 0.0:
+            row *= -1.0
+    return frame
+
+
+class TestBatchedDraw:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_frames_equal_haar_sample(self, n):
+        for m in range(1, n):
+            streams = [_derived_seed(n, i)[0] for i in range(40)]
+            planes = projection._haar_planes(n, m, [np.random.default_rng(ss) for ss in streams])
+            for ss, V in zip(streams, planes):
+                want = haar_sample(n, m, np.random.default_rng(ss)).frame
+                assert V.frame.tobytes() == want.tobytes()
+                oracle = haar_frame_oracle(n, m, np.random.default_rng(ss))
+                assert want.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (5, 3)])
+    def test_rank_deficient_draw_is_redrawn_from_its_stream(self, n, m):
+        def rngs():
+            out = [np.random.default_rng(i) for i in range(4)]
+            out[1] = _RankDeficientFirst(out[1])
+            return out
+
+        batched = projection._haar_planes(n, m, rngs())
+        alone = [haar_sample(n, m, rng) for rng in rngs()]
+        assert [V.frame.tobytes() for V in batched] == [V.frame.tobytes() for V in alone]
+        assert [V.frame.tobytes() for V in batched] == [
+            haar_frame_oracle(n, m, rng).tobytes() for rng in rngs()
+        ]
+        stub = rngs()[1]
+        projection._haar_planes(n, m, [stub])
+        assert stub.draws == 2
+
+    def test_dimensions_checked_before_drawing(self):
+        rng = np.random.default_rng(0)
+        for n, m in ((2, 2), (3, 0)):
+            with pytest.raises(ValueError, match="0 < m < n"):
+                haar_sample(n, m, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_records_equal_per_direction_oracle(self, impls, monkeypatch, backend, workers):
+        # each direction drawn alone by haar_sample on its own stream and
+        # classified alone gives the scan's record, across draw blocks too
+        monkeypatch.setattr(kernels, "_active", impls[backend])
+        monkeypatch.setattr(projection, "_DRAW_BLOCK", 7)
+        cases = ((1, gen_random_tree_set(2, 1.2, 7, seed=3)),
+                 (2, gen_random_tree_set(3, 2.0, 4, seed=2)))
+        for m, P in cases:
+            rep = direction_scan(
+                P, s=1.0, eps=0.1, num_samples=24, master_seed=8, m=m, workers=workers
+            )
+            for i, r in enumerate(rep.per_direction):
+                ss, seed = _derived_seed(8, i)
+                V = haar_sample(P.dim, m, np.random.default_rng(ss))
+                c = classify_direction(P, V, 1.0, 0.1, rep.kappa)
+                assert (r.index, r.seed, r.frame.tobytes()) == (i, seed, V.frame.tobytes())
+                assert (r.label, r.energy, r.min_cover, r.n_boundary) == (
+                    c.label, c.energy, c.min_cover, c.n_boundary
+                )
 
 
 class TestProjectPoints:
