@@ -38,7 +38,6 @@ from .projection import (
     project_points,
     riesz_sum,
     summary_line,
-    write_scan_csv,
     write_scan_report,
 )
 from .regularity import (

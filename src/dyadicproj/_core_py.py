@@ -39,9 +39,11 @@ def pair_count(x: np.ndarray, delta: float) -> int:
       has fl(fl(z_j - z_i)^2) <= fl(delta^2), hence z_j - z_i <
       delta(1 + 3u) + 2^-535 < delta + slack - u(M + 3 delta + 3 slack),
       and fl(z_i + fl(delta + slack)) - z_i is at least the latter.
-    - begin = searchsorted(z, z + (delta - slack), "right"), for m = 1 only
-      and at least i + 1: every j below it is close, as z_j - z_i <=
-      delta - slack + u(M + 3 delta + 3 slack) < delta.
+    - begin = searchsorted(z, max(z + (delta - slack), z), "right"), for
+      m = 1 only and at least i + 1: every j below it is close, as either
+      z_j - z_i <= delta - slack + u(M + 3 delta + 3 slack) < delta, or
+      z_j = z_i, a difference of 0 that is close at every delta >= 0 (so a
+      run of equal rows needs no test even at delta = 0).
     Overflow only raises end to n, unless delta^2 overflows and then every
     pair is close.
     """
@@ -57,7 +59,7 @@ def pair_count(x: np.ndarray, delta: float) -> int:
         begin = np.arange(1, n + 1)
         close = 0
         if m == 1:  # the pairs below begin count without a test
-            certain = np.maximum(np.searchsorted(z, z + (delta - slack), side="right"), begin)
+            certain = np.searchsorted(z, np.maximum(z + (delta - slack), z), side="right")
             close, begin = int((certain - begin).sum()), certain
         width = end - begin
         start = np.concatenate(([0], np.cumsum(width)))  # candidates before row i

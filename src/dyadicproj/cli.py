@@ -23,7 +23,6 @@ from .projection import (
     _over_budget,
     direction_scan,
     summary_line,
-    write_scan_csv,
     write_scan_report,
 )
 from .regularity import (
@@ -192,7 +191,6 @@ def _cmd_scan(args) -> int:
     )
     out = Path(args.out)
     write_scan_report(report, _out_file(out, "scan.txt", args.force))
-    write_scan_csv(report, _out_file(out, "scan.csv", args.force))
     print(summary_line(report))
     return 0
 
@@ -226,7 +224,6 @@ def _cmd_multiscan(args) -> int:
     for j in range(args.level_min, args.level_max + 1):
         for name in ("points", "cover", "good", "bad", "heavy", "scan"):
             _out_file(out, f"scale{j}_{name}.txt", args.force)
-        _out_file(out, f"scale{j}_scan.csv", args.force)
         Pj = coarsen(P, j)
         delta = 2.0**-j
         dec = heavy_decompose(Pj, args.s, None, args.big_l, args.tau)
@@ -246,7 +243,6 @@ def _cmd_multiscan(args) -> int:
                 workers=args.workers,
             )
             write_scan_report(report, out / f"scale{j}_scan.txt")
-            write_scan_csv(report, out / f"scale{j}_scan.csv")
             n_bad = sum(r.label == "bad" for r in report.per_direction)
             bad_fraction = report.bad_fraction
             budget = report.budget

@@ -43,7 +43,6 @@ __all__ = [
     "direction_scan",
     "coincidence_probability_exact",
     "write_scan_report",
-    "write_scan_csv",
     "summary_line",
 ]
 
@@ -430,8 +429,13 @@ def summary_line(report: ScanReport) -> str:
 
 
 def write_scan_report(report: ScanReport, path) -> None:
+    """Write `scan-report v2`: the version line, one `key value` line per
+    header field, one `direction` line per record, then the summary line.
+
+    Later fields are new `key value` lines, which readers skip when they do
+    not know the key.  Removing or renaming a key bumps the version."""
     lines = [
-        "scan-report v1",
+        "scan-report v2",
         f"n {report.n}",
         f"m {report.m}",
         f"delta {report.delta:.17g}",
@@ -440,9 +444,6 @@ def write_scan_report(report: ScanReport, path) -> None:
         f"num_samples {report.num_samples}",
         f"master_seed {report.master_seed}",
         f"kappa {report.kappa}",
-        # constant in every v1 report
-        "threshold_slack 1",
-        f"dim_slack {2**report.n}",
         f"budget_gt_half {int(report.budget_gt_half)}",
     ]
     for r in report.per_direction:
@@ -453,12 +454,4 @@ def write_scan_report(report: ScanReport, path) -> None:
             f"boundary {r.n_boundary} label {r.label}"
         )
     lines.append(summary_line(report))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_scan_csv(report: ScanReport, path) -> None:
-    lines = ["index,energy,min_cover,label"]
-    lines.extend(
-        f"{r.index},{r.energy},{r.min_cover},{r.label}" for r in report.per_direction
-    )
     Path(path).write_text("\n".join(lines) + "\n")

@@ -380,15 +380,20 @@ def test_backends_agree_on_pair_counts(impls, m):
             assert got == {len(x) ** 2}
 
 
-@pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_one_slab_of_every_row_counts_in_linear_time(impls, backend):
+@pytest.mark.parametrize("backend,delta", [
+    pytest.param(b, d, id=b + suffix)
+    for d, suffix in ((2.0**-10, ""), (0.0, "-delta0"))
+    for b in ("python", "compiled")
+])
+def test_one_slab_of_every_row_counts_in_linear_time(impls, backend, delta):
     # every row of an m = 1 run of equal rows is past the compiled window, and
     # each continues the sweep from where the last one stopped; restarted at
     # each row, the sweep would take n^2 / 2 steps, seconds at this n.  The
-    # fallback counts these pairs without a test, as delta exceeds its slack
+    # fallback counts these pairs without a test: equal rows are close at every
+    # delta >= 0, so at delta = 0 too, where delta - slack is below every row
     x = np.full((1 << 17, 1), 0.25)
     start = time.perf_counter()
-    assert impls[backend].pair_count(x, 2.0**-10) == len(x) ** 2
+    assert impls[backend].pair_count(x, delta) == len(x) ** 2
     assert time.perf_counter() - start < 1.0
 
 

@@ -27,7 +27,6 @@ from dyadicproj.projection import (
     project_points,
     riesz_sum,
     summary_line,
-    write_scan_csv,
     write_scan_report,
 )
 
@@ -671,28 +670,27 @@ class TestDirectionScan:
             V = haar_sample(2, 1, rng)
             assert kernels.coincidence_count(project_points(V, P), P.delta) == len(P) ** 2
 
-    def test_report_header_constant_lines(self, tmp_path):
-        # written without report fields: 1, and 2^n
-        cases = ((2, gen_cantor_product(CANTOR2, 2), "dim_slack 4"),
-                 (3, gen_random_tree_set(3, 1.5, 3, seed=2), "dim_slack 8"))
-        for n, P, slack in cases:
+    def test_report_header_v2(self, tmp_path):
+        # the version line, exactly these keys in this order, then the records
+        keys = ["n", "m", "delta", "s", "eps", "num_samples", "master_seed", "kappa",
+                "budget_gt_half"]
+        cases = ((2, gen_cantor_product(CANTOR2, 2)),
+                 (3, gen_random_tree_set(3, 1.5, 3, seed=2)))
+        for n, P in cases:
             rep = direction_scan(P, s=1.0, eps=0.1, num_samples=2, master_seed=3, m=n - 1)
             write_scan_report(rep, tmp_path / f"scan{n}.txt")
             lines = (tmp_path / f"scan{n}.txt").read_text().splitlines()
-            at = lines.index(f"kappa {rep.kappa}")
-            assert lines[at + 1 : at + 3] == ["threshold_slack 1", slack]
+            assert lines[0] == "scan-report v2"
+            assert [x.split()[0] for x in lines[1 : len(keys) + 2]] == [*keys, "direction"]
+            assert lines[1] == f"n {n}"
 
     def test_report_round_trip_files(self, tmp_path):
         P = gen_cantor_product(CANTOR2, 2)
         rep = direction_scan(P, s=1.0, eps=0.1, num_samples=5, master_seed=3)
         write_scan_report(rep, tmp_path / "scan.txt")
-        write_scan_csv(rep, tmp_path / "scan.csv")
         text = (tmp_path / "scan.txt").read_text()
         assert text.endswith(summary_line(rep) + "\n")
         assert text.count("direction ") == 5
-        csv = (tmp_path / "scan.csv").read_text().splitlines()
-        assert csv[0] == "index,energy,min_cover,label"
-        assert len(csv) == 6
 
 
 class TestCoincidenceProbability:
