@@ -2,9 +2,10 @@
 
 `setup.py build_ext --inplace` (or an install) builds the C file into a
 shared library next to this module.  `load` opens it and wraps its two
-pair kernels, `pair_count` and `riesz_row_sums`, the m = 1 bin profile
-`bin_profile`, and its row codec, `parse_rows` and `format_rows`, under
-the names and signatures of the numpy fallback in _core_py.  A library
+pair kernels, `pair_count` and `riesz_row_sums`, the bin profile
+`bin_profile` (m = 1 only: it takes (N, 1) rows where the fallback's takes
+any m), and its row codec, `parse_rows` and `format_rows`, under the names
+and signatures of the numpy fallback in _core_py.  A library
 that lacks any of the five (one built from an older _ckernels.c) counts
 as not built.  ctypes releases the GIL during each foreign call, so
 threads can run the kernels side by side.

@@ -10,9 +10,10 @@ pair_count here bounds the slab by two proved searches.  The
 Riesz row sums form the same terms and add them in the same order, so they
 are equal; they take one vectorised pass per row, O(N^2) work in all: on 2
 shared vCPUs about 0.22 s at N = 9,215, against 13 ms for the compiled
-kernel at the AVX-512 width.  `bin_profile` is the reference for the
-compiled m = 1 bin profile: the same float operations per point, and the
-run lengths of equal bins sorted where C walks a histogram of them.
+kernel at the AVX-512 width.  `bin_profile` is the one numpy bin profile
+for every m, and the reference for the compiled m = 1 one: the same float
+operations per coordinate, and the run lengths of equal bins sorted where
+C walks a histogram of them.
 
 The row codec's fallback is the reference for the compiled one:
 `format_rows` is the "%d" formatter, and `parse_rows` declines every
@@ -104,17 +105,18 @@ def riesz_row_sums(pts: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
-def bin_profile(z: np.ndarray, scale: float, delta: float, kappa: int) -> tuple[int, int]:
-    """(points within 1e-9*delta of a bin face, fewest bins holding kappa
-    points) for sorted finite coordinates z binned at 1/scale, with
-    1 <= kappa <= len(z).  The bins of sorted values never decrease, so bin
-    occupancy is the run lengths of the bin indices; the fullest bins are
-    taken first."""
-    scaled = z * scale
+def bin_profile(x: np.ndarray, scale: float, delta: float, kappa: int) -> tuple[int, int]:
+    """(points with a coordinate within 1e-9*delta of a bin face, fewest bins
+    holding kappa points) for finite rows x (N, m) binned into cubes of side
+    1/scale, with 1 <= kappa <= N.  Sorting the floor rows puts each bin's
+    points in one run, so bin occupancy is the run lengths; the fullest
+    bins are taken first."""
+    scaled = x * scale
     bins = np.floor(scaled)
     frac = scaled - bins
-    near = np.minimum(frac, 1.0 - frac) / scale < 1e-9 * delta
-    edges = np.concatenate(([True], bins[1:] != bins[:-1], [True]))
+    near = (np.minimum(frac, 1.0 - frac) / scale < 1e-9 * delta).any(axis=1)
+    bins = bins[np.lexsort(bins.T)]
+    edges = np.concatenate(([True], (bins[1:] != bins[:-1]).any(axis=1), [True]))
     counts = np.diff(np.flatnonzero(edges))
     counts[::-1].sort()
     filled = np.cumsum(counts)

@@ -111,21 +111,17 @@ def gen_random_tree_set(n: int, s: float, level: int, seed: int) -> GridPointSet
 def gen_degenerate(kind: str, **params) -> GridPointSet:
     """Adversarial sets: an axis line, a packed cluster, or a single point.
 
-    line:    all cells along the first axis, other coordinates fixed
-             (n, level, fixed: tuple of n-1 coords, default zeros)
+    line:    all cells along the first axis, other coordinates zero
+             (n, level)
     cluster: the full sub-grid inside the coarse cube at the origin
              (n, level, cube_level)
-    point:   a singleton (n, level, coords: tuple, default zeros)
+    point:   the origin cell alone (n, level)
     """
     if kind == "line":
         n = int(params["n"])
         level = int(params["level"])
-        fixed = tuple(params.get("fixed", (0,) * (n - 1)))
-        if len(fixed) != n - 1:
-            raise ValueError(f"line needs {n - 1} fixed coordinates")
         cells = np.zeros((1 << level, n), dtype=np.int64)
         cells[:, 0] = np.arange(1 << level)
-        cells[:, 1:] = np.asarray(fixed, dtype=np.int64)
         return GridPointSet(n, level, cells)
     if kind == "cluster":
         n = int(params["n"])
@@ -139,8 +135,7 @@ def gen_degenerate(kind: str, **params) -> GridPointSet:
     if kind == "point":
         n = int(params["n"])
         level = int(params["level"])
-        coords = tuple(params.get("coords", (0,) * n))
-        return GridPointSet.from_cells(n, level, [coords])
+        return GridPointSet.from_cells(n, level, [(0,) * n])
     raise ValueError(f"unknown degenerate kind {kind!r}")
 
 

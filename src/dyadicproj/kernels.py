@@ -11,14 +11,16 @@ return equal integers (C sweeps each row's slab with two pointers, for
 m = 1 after counting each row's next 16 rows at the vector width; the
 fallback bounds the slab by two proved searches);
 `riesz_row_sums`, the same Riesz terms added in the same order, so
-`riesz_pair_sum` is equal on both; `bin_profile`, which bins sorted
-m = 1 coordinates at a dyadic side and returns the points near a bin face
-and the fewest bins holding kappa points, from the same float operations
-(C in one pass with a histogram of run lengths, the fallback by sorting
-the run lengths); and the row codec of the text formats,
-`format_rows`, which writes the same text, and `parse_rows`, which either
-reads canonical rows or declines.  The fallback's parser declines every
-input; a declined read runs grid's general reader, the reference.
+`riesz_pair_sum` is equal on both; `bin_profile`, which bins rows at a
+dyadic side and returns the points near a bin face and the fewest bins
+holding kappa points, from the same float operations (C for m = 1 only,
+in one pass with a histogram of run lengths; the fallback for every m, by
+sorting the floor rows and then their run lengths); and the row codec of
+the text formats, `format_rows`, which writes the same text, and
+`parse_rows`, which either reads canonical rows or declines.  The
+fallback's parser declines every input; a declined read runs grid's
+general reader, the reference.  `bin_profile` here works out the side from
+delta, and runs m >= 2 on the fallback whatever the backend.
 
 At import time this module loads no other dyadicproj module but the two
 backends (`riesz_pair_sum` reads grid.MAX_DIM when called), so grid can
@@ -127,20 +129,31 @@ def riesz_pair_sum(points: np.ndarray, power: int) -> float:
     return 2.0 * math.fsum(_active.riesz_row_sums(points, int(power)))
 
 
-def bin_profile(coords: np.ndarray, scale: float, delta: float, kappa: int) -> tuple[int, int]:
-    """(near, fewest) for (N, 1) finite coordinates binned into the cells
-    [k / scale, (k + 1) / scale): near counts the points with
-    min(frac, 1 - frac) / scale < 1e-9*delta, frac the part of
-    coordinate * scale above its floor, and fewest is the least number of
-    bins holding kappa points, 1 <= kappa <= N.  The same integers on every
-    backend."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[1] != 1:
-        raise ValueError(f"coords must be an (N, 1) array, got shape {coords.shape}")
-    if not 1 <= kappa <= len(coords):
-        raise ValueError(f"kappa={kappa} outside [1, {len(coords)}]")
-    z = _finite_sorted(coords)[:, 0]
-    return _active.bin_profile(z, float(scale), float(delta), int(kappa))
+def bin_profile(coords: np.ndarray, delta: float, kappa: int) -> tuple[int, int]:
+    """(near, fewest) for (N, m) finite rows binned into the cubes of side
+    1/scale, scale = 2^level for the least level >= 0 whose bin diameter
+    sqrt(m) / scale is at most delta.  near counts the points with a
+    coordinate x where min(frac, 1 - frac) / scale < 1e-9*delta, frac the
+    part of x * scale above its floor: within 1e-9*delta of a bin face, the
+    bin is a coin flip at double precision.  fewest is the least number of
+    bins holding kappa points, kappa an integer in [1, N].  delta must be
+    finite and at least sqrt(m) * 2^-1023, so that scale is a finite float.
+    The same integers on every backend: the active one runs m = 1, and the
+    numpy fallback m >= 2, which the compiled library lacks."""
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[1] == 0:
+        raise ValueError("coords must be a 2-D array with at least one column")
+    n, m = coords.shape
+    root, delta = math.sqrt(m), float(delta)
+    if not root * 2.0**-1023 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= sqrt(m) * 2^-1023, got {delta}")
+    if kappa % 1 or not 1 <= kappa <= n:
+        raise ValueError(f"kappa must be an integer in [1, {n}], got {kappa}")
+    level = max(0, math.ceil(math.log2(root / delta) - 1e-12))
+    while 2.0**-level * root > delta:
+        level += 1
+    impl = _active if m == 1 else _core_py
+    return impl.bin_profile(_finite_sorted(coords), 2.0**level, delta, int(kappa))
 
 
 def parse_rows(buf, width: int) -> np.ndarray | None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from ._exact import _ceil_pow2, _cmp_pow2, snap_exponent
-from .grid import GridPointSet, _unique_rows, _validate_exponent, build_cover_tree
+from .grid import GridPointSet, _validate_exponent, build_cover_tree
 
 __all__ = [
     "Plane",
@@ -149,39 +149,6 @@ def riesz_sum(P: GridPointSet, power: int) -> RieszResult:
     return RieszResult(value, bound)
 
 
-def _bin_level(m: int, delta: float) -> int:
-    """Smallest level whose bins have diameter sqrt(m) * side <= delta."""
-    lev = max(0, math.ceil(math.log2(math.sqrt(m) / delta) - 1e-12))
-    while 2.0**-lev * math.sqrt(m) > delta:
-        lev += 1
-    return lev
-
-
-def _bin_profile(coords: np.ndarray, delta: float, kappa: int) -> tuple[int, int]:
-    """Near-boundary count and fewest bins holding kappa points, from one
-    binning of the projected coordinates (N, m).
-
-    A point is near a boundary when one of its coordinates lies within
-    1e-9*delta of a bin face: its bin assignment is a coin flip at double
-    precision.  For m = 1 the backend's bin_profile computes both from the
-    coordinates in sorted order (see kernels).
-    """
-    n_pts, m = coords.shape
-    if not 1 <= kappa <= n_pts:
-        raise ValueError(f"kappa={kappa} outside [1, {n_pts}]")
-    scale = float(1 << _bin_level(m, delta))
-    if m == 1:
-        return kernels.bin_profile(coords, scale, delta, kappa)
-    scaled = coords * scale
-    bins = np.floor(scaled)
-    frac = scaled - bins
-    near = np.minimum(frac, 1.0 - frac) / scale < 1e-9 * delta
-    counts = np.bincount(_unique_rows(bins.astype(np.int64))[1])
-    counts[::-1].sort()
-    filled = np.cumsum(counts)
-    return int(near.any(axis=1).sum()), int(np.searchsorted(filled, kappa) + 1)
-
-
 def min_projection_cover(
     P: GridPointSet, V: Plane, delta: float | None = None, kappa: int = 1
 ) -> int:
@@ -194,7 +161,7 @@ def min_projection_cover(
     """
     if delta is None:
         delta = P.delta
-    return _bin_profile(project_points(V, P), delta, kappa)[1]
+    return kernels.bin_profile(project_points(V, P), delta, kappa)[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -246,7 +213,7 @@ def classify_direction(
     _check_scan(P, s, eps, V.m)
     coords = kernels._sorted_by_first(project_points(V, P), copy=False)
     energy = kernels.coincidence_count(coords, P.delta)
-    n_boundary, min_cover = _bin_profile(coords, P.delta, kappa)
+    n_boundary, min_cover = kernels.bin_profile(coords, P.delta, kappa)
     threshold, exponent = _energy_threshold(P.level, s, eps, V.m)
     if exponent is None:
         bad = energy >= threshold

@@ -97,24 +97,17 @@ class TestDegenerate:
         assert len(P) == 64
         assert np.unique(P.cells[:, 1]).tolist() == [0]
 
-    def test_line_fixed_coords(self):
-        P = gen_degenerate("line", n=3, level=2, fixed=(1, 2))
-        assert len(P) == 4
-        assert set(map(tuple, P.cells[:, 1:].tolist())) == {(1, 2)}
-
     def test_cluster(self):
         P = gen_degenerate("cluster", n=1, level=10, cube_level=5)
         assert len(P) == 32
 
     def test_point(self):
-        P = gen_degenerate("point", n=2, level=4, coords=(3, 9))
-        assert P.cells.tolist() == [[3, 9]]
+        P = gen_degenerate("point", n=2, level=4)
+        assert P.cells.tolist() == [[0, 0]]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             gen_degenerate("blob", n=1, level=2)
-        with pytest.raises(ValueError):
-            gen_degenerate("line", n=2, level=2, fixed=(0, 0))
 
 
 class TestGeneratorSpec:

@@ -17,7 +17,7 @@ from dyadicproj.grid import GridPointSet
 from dyadicproj.kernels import backend_name, coincidence_count, riesz_pair_sum
 from dyadicproj.projection import Plane, project_points
 
-from conftest import ROOT, build_kernels, pair_energy_oracle
+from conftest import ROOT, bin_side_oracle, build_kernels, pair_energy_oracle
 
 
 @pytest.mark.parametrize("pure,warns", [("", True), ("1", False)])
@@ -163,8 +163,8 @@ def test_every_riesz_clone_matches_the_fallback(tmp_path, target, riesz_referenc
         assert clone.pair_count(x, delta) == want
     for z, scale, delta in _profile_cases():
         for kappa in range(1, len(z) + 1):
-            want = _core_py.bin_profile(z, scale, delta, kappa)
-            assert clone.bin_profile(z, scale, delta, kappa) == want
+            want = _core_py.bin_profile(z[:, None], scale, delta, kappa)
+            assert clone.bin_profile(z[:, None], scale, delta, kappa) == want
 
 
 def riesz_oracle(pts: np.ndarray, power: int) -> float:
@@ -444,30 +444,32 @@ def test_non_finite_rows_are_refused(impls, backend, monkeypatch):
             with pytest.raises(ValueError, match="coords must be finite"):
                 coincidence_count(rows, 0.5)
             with pytest.raises(ValueError, match="coords must be finite"):
-                kernels.bin_profile(rows, 4.0, 0.5, 1)
+                kernels.bin_profile(rows, 0.5, 1)
         for column in (0, 1):
             y = np.full((21, 2), 0.1)
             y[7, column] = bad
             with pytest.raises(ValueError, match="coords must be finite"):
                 coincidence_count(y, 0.5)
+            with pytest.raises(ValueError, match="coords must be finite"):
+                kernels.bin_profile(y, 0.5, 1)
     assert coincidence_count(np.full((20, 1), 0.1), 0.5) == 400
 
 
-def _profile_oracle(z, scale: float, delta: float, kappa: int) -> tuple[int, int]:
-    """The bin profile in plain Python floats: each point's near test as the
-    backends form it, and the fullest bins taken first."""
+def _profile_oracle(x, scale: float, delta: float) -> tuple[int, list[int]]:
+    """The bin profile of rows x (N, m) in plain Python floats: the points
+    near a face, where a point is near when one of its coordinates is by the
+    near test as the backends form it, and the fewest bins holding kappa
+    points at index kappa - 1, the fullest bins taken first."""
     near, bins = 0, Counter()
-    for x in z.tolist():
-        scaled = x * scale
-        frac = scaled - math.floor(scaled)
-        near += min(frac, 1.0 - frac) / scale < 1e-9 * delta
-        bins[math.floor(scaled)] += 1
-    held = 0
+    for row in x.tolist():
+        scaled = [c * scale for c in row]
+        fracs = [c - math.floor(c) for c in scaled]
+        near += any(min(f, 1.0 - f) / scale < 1e-9 * delta for f in fracs)
+        bins[tuple(math.floor(c) for c in scaled)] += 1
+    fewest = []
     for used, c in enumerate(sorted(bins.values(), reverse=True), 1):
-        held += c
-        if held >= kappa:
-            return near, used
-    raise ValueError("kappa exceeds the number of points")
+        fewest += [used] * c
+    return near, fewest
 
 
 def _profile_cases():
@@ -491,21 +493,72 @@ def _profile_cases():
         yield np.sort(runs + rng.uniform(-0.4, 0.4, len(runs))) / scale, scale, delta
 
 
+def _plane_profile_cases():
+    """(rows sorted by the first coordinate, scale, delta) for m = 2 and 3,
+    from each _profile_cases column: in the last column with plain values,
+    0.3 of a bin above a face at scale, scale / 2 and 2 * scale, in the
+    others; and in every column, each its own shuffle."""
+    rng = np.random.default_rng(62)
+    for z, scale, delta in _profile_cases():
+        for m in (2, 3):
+            plain = (rng.integers(-2, 2, (len(z), m - 1)) + 0.3) / scale
+            shuffled = [rng.permutation(z) for _ in range(m)]
+            for x in (np.column_stack([plain, z]), np.column_stack(shuffled)):
+                yield x[np.argsort(x[:, 0], kind="stable")], scale, delta
+
+
 def test_backends_agree_on_bin_profiles(impls):
     for z, scale, delta in _profile_cases():
+        near, fewest = _profile_oracle(z[:, None], scale, delta)
+        derived = 1.0 / bin_side_oracle(1, delta)
+        derived_near, derived_fewest = _profile_oracle(z[:, None], derived, delta)
         for kappa in range(1, len(z) + 1):
-            want = _profile_oracle(z, scale, delta, kappa)
             for impl in impls.values():
-                assert impl.bin_profile(z, scale, delta, kappa) == want
-            assert kernels.bin_profile(z[::-1, None], scale, delta, kappa) == want
+                assert impl.bin_profile(z[:, None], scale, delta, kappa) == (near, fewest[kappa - 1])
+            got = kernels.bin_profile(z[::-1, None], delta, kappa)
+            assert got == (derived_near, derived_fewest[kappa - 1])
+
+
+def test_bin_profiles_of_planes(impls, monkeypatch):
+    for x, scale, delta in _plane_profile_cases():
+        near, fewest = _profile_oracle(x, scale, delta)
+        derived = 1.0 / bin_side_oracle(x.shape[1], delta)
+        derived_near, derived_fewest = _profile_oracle(x, derived, delta)
+        for kappa in range(1, len(x) + 1):
+            assert _core_py.bin_profile(x, scale, delta, kappa) == (near, fewest[kappa - 1])
+            for impl in impls.values():
+                monkeypatch.setattr(kernels, "_active", impl)
+                got = kernels.bin_profile(x[::-1], delta, kappa)
+                assert got == (derived_near, derived_fewest[kappa - 1])
 
 
 def test_bin_profile_refuses_kappa_outside_the_points():
     for kappa in (0, 4):
         with pytest.raises(ValueError, match="kappa"):
-            kernels.bin_profile(np.zeros((3, 1)), 1.0, 1.0, kappa)
-    with pytest.raises(ValueError, match="N, 1"):
-        kernels.bin_profile(np.zeros((3, 2)), 1.0, 1.0, 1)
+            kernels.bin_profile(np.zeros((3, 1)), 1.0, kappa)
+    for coords in (np.zeros(3), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="2-D array"):
+            kernels.bin_profile(coords, 1.0, 1)
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_bin_profile_refuses_delta_and_kappa_outside_their_range(impls, backend, monkeypatch):
+    # unchecked, delta = 0 divided by zero, a negative or infinite delta hit a
+    # math domain error, NaN failed to become an integer, 1e-320 overflowed
+    # the scale, and kappa = 1.5 ran as 1
+    monkeypatch.setattr(kernels, "_active", impls[backend])
+    rows = np.full((3, 1), 0.1)
+    for delta in (0.0, -0.0, -0.1, math.nan, math.inf, -math.inf, 1e-320):
+        with pytest.raises(ValueError, match="delta"):
+            kernels.bin_profile(rows, delta, 1)
+    with pytest.raises(ValueError, match="kappa"):
+        kernels.bin_profile(rows, 0.5, 1.5)
+    # the least delta is sqrt(m) * 2^-1023, where the scale is 2^1023
+    for m in (1, 2, 3):
+        least = math.sqrt(m) * 2.0**-1023
+        assert kernels.bin_profile(np.zeros((3, m)), least, 3) == (3, 1)
+        with pytest.raises(ValueError, match="delta"):
+            kernels.bin_profile(np.zeros((3, m)), np.nextafter(least, 0.0), 1)
 
 
 def test_python_backend_explicit(monkeypatch):

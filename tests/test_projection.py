@@ -15,7 +15,6 @@ from dyadicproj import kernels, projection
 from dyadicproj.grid import GridPointSet
 from dyadicproj.projection import (
     Plane,
-    _bin_profile,
     _derived_seed,
     _over_budget,
     _subset_size,
@@ -380,7 +379,7 @@ class TestBinProfile:
             coords = project_points(V, P)
             for delta in (P.delta / 2, float(rng.uniform(0.02, 0.6))):
                 kappa = int(rng.integers(1, len(P) + 1))
-                n_boundary, cover = _bin_profile(coords, delta, kappa)
+                n_boundary, cover = kernels.bin_profile(coords, delta, kappa)
                 assert n_boundary == near_boundary_oracle(coords, delta)
                 assert cover == min_projection_cover(P, V, delta, kappa)
                 assert cover == min_bins_oracle(bin_counts_oracle(coords, delta), kappa)
@@ -400,7 +399,7 @@ class TestBinProfile:
         for delta in (P.delta / 2, P.delta, 4 * P.delta):
             counts = bin_counts_oracle(coords, delta)
             for kappa in range(1, len(P) + 1, 7):
-                n_boundary, cover = _bin_profile(coords, delta, kappa)
+                n_boundary, cover = kernels.bin_profile(coords, delta, kappa)
                 assert n_boundary == near_boundary_oracle(coords, delta)
                 assert cover == greedy_cover(counts, kappa)
 
