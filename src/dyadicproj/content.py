@@ -18,7 +18,15 @@ import numpy as np
 from . import kernels
 from ._exact import ExponentContext
 from .grid import MAX_DIM, MAX_LEVEL, DyadicCube, GridPointSet, build_cover_tree
-from .grid import _FIRST_LINE, _lines, _parse_rows, _row_index, _unique_rows, _validate_exponent
+from .grid import (
+    _FIRST_LINE,
+    _kept,
+    _lines,
+    _parse_rows,
+    _row_index,
+    _unique_rows,
+    _validate_exponent,
+)
 
 __all__ = [
     "DyadicCover",
@@ -50,7 +58,7 @@ class DyadicCover:
                 f"cover rows of shape {rows.shape}, not (N, 1 + dim) with dim in [1, {MAX_DIM}]"
             )
         n = len(rows)
-        rows = _unique_rows(rows)[0]
+        rows = _kept(_unique_rows(rows)[0], self.rows)
         if len(rows) != n:
             raise ValueError("duplicate cube in cover")
         levels, coords = rows[:, 0], rows[:, 1:]

@@ -116,27 +116,31 @@ def gen_degenerate(kind: str, **params) -> GridPointSet:
     cluster: the full sub-grid inside the coarse cube at the origin
              (n, level, cube_level)
     point:   the origin cell alone (n, level)
+
+    An unknown or missing keyword is a ValueError, as in a spec string.
     """
+    if kind not in ("line", "cluster", "point"):
+        raise ValueError(f"unknown degenerate kind {kind!r}")
+    for key in params:
+        if key not in _SPEC_KEYS[kind]:
+            raise _key_error("unknown", key, kind)
+    for key in _SPEC_KEYS[kind]:
+        if key not in params:
+            raise _key_error("missing", key, kind)
+    n = int(params["n"])
+    level = int(params["level"])
     if kind == "line":
-        n = int(params["n"])
-        level = int(params["level"])
         cells = np.zeros((1 << level, n), dtype=np.int64)
         cells[:, 0] = np.arange(1 << level)
         return GridPointSet(n, level, cells)
     if kind == "cluster":
-        n = int(params["n"])
-        level = int(params["level"])
         cube_level = int(params["cube_level"])
         if not 0 <= cube_level <= level:
             raise ValueError(f"cube_level {cube_level} outside [0, {level}]")
         axes = [np.arange(1 << (level - cube_level), dtype=np.int64)] * n
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
         return GridPointSet(n, level, grid)
-    if kind == "point":
-        n = int(params["n"])
-        level = int(params["level"])
-        return GridPointSet.from_cells(n, level, [(0,) * n])
-    raise ValueError(f"unknown degenerate kind {kind!r}")
+    return GridPointSet.from_cells(n, level, [(0,) * n])
 
 
 # each spec kind's keys, with the defaults of those that may be left out
@@ -147,6 +151,10 @@ _SPEC_KEYS: dict[str, dict[str, str | None]] = {
     "cluster": {"n": None, "level": None, "cube_level": None},
     "point": {"n": None, "level": None},
 }
+
+
+def _key_error(word: str, key: str, kind: str) -> ValueError:
+    return ValueError(f"{word} generator key {key!r}: {kind} takes {', '.join(_SPEC_KEYS[kind])}")
 
 
 def parse_generator_spec(spec: str, seed: int | None = None) -> GridPointSet:
@@ -166,7 +174,6 @@ def parse_generator_spec(spec: str, seed: int | None = None) -> GridPointSet:
     if kind not in _SPEC_KEYS:
         raise ValueError(f"unknown generator kind {kind!r}")
     keys = _SPEC_KEYS[kind]
-    known = f"{kind} takes {', '.join(keys)}"
     kv: dict[str, str] = {}
     for item in rest.split(",") if rest else []:
         key, _, val = item.partition("=")
@@ -174,13 +181,12 @@ def parse_generator_spec(spec: str, seed: int | None = None) -> GridPointSet:
         if not val:
             raise ValueError(f"malformed generator option {item!r}")
         if key not in keys or key in kv:
-            word = "repeated" if key in kv else "unknown"
-            raise ValueError(f"{word} generator key {key!r}: {known}")
+            raise _key_error("repeated" if key in kv else "unknown", key, kind)
         kv[key] = val.strip()
     kv = {k: kv.get(k, default) for k, default in keys.items()}
     missing = [k for k, v in kv.items() if v is None]
     if missing:
-        raise ValueError(f"missing generator key {missing[0]!r}: {known}")
+        raise _key_error("missing", missing[0], kind)
     if kind == "cantor":
         digits = tuple(int(d) for d in kv["keep"].split("|"))
         pattern = CantorPattern(int(kv["base"]), (digits,) * int(kv["dims"]))

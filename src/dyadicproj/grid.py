@@ -5,12 +5,15 @@ k, so a cell is an n-vector of integers in [0, 2^k) and represents the point
 at its center.  All coordinates are 64-bit integers and levels are capped at
 20, which keeps squared pairwise distances (in cell units) well inside int64.
 
-Cell rows are kept in lexicographic order.  One primitive, `_unique_rows`
-(a `np.lexsort`, skipped when the rows are already in order, and a
-comparison of adjacent rows), does every dedup, grouping, membership test
-and row lookup on them (`_row_index` groups the rows sought together with
-the rows searched), at any width: one fused int64 key would not fit
-dim * level.  A list of dyadic cubes is the same kind of array, one
+Cell rows are kept in lexicographic order.  One primitive, `_unique_rows`,
+does every dedup, grouping, membership test and row lookup on them
+(`_row_index` groups the rows sought together with the rows searched), at
+any width.  It packs each row into uint64 words that compare as the rows
+do (`_row_words`: a column takes the bits of its range, so a set of cells
+up to 64 bits wide is one word, and the widest, MAX_DIM * MAX_LEVEL = 160
+bits, three), sorts the words with one `np.lexsort` unless they are
+already in order, compares adjacent ones and reads the distinct rows back
+out of them.  A list of dyadic cubes is the same kind of array, one
 `level c_1 ... c_n` row per cube (`CoverTree.antichain` returns one).
 
 Every such array is written as text by one row formatter,
@@ -36,6 +39,7 @@ from . import kernels
 # _exact._FILTER_RTOL is derived for MAX_LEVEL * MAX_DIM <= 160
 MAX_LEVEL = 20
 MAX_DIM = 8
+_INT64 = np.iinfo(np.int64)
 
 __all__ = [
     "MAX_LEVEL",
@@ -68,31 +72,86 @@ class DyadicCube:
                 raise ValueError(f"coordinate {c} outside [0, {hi}) at level {self.level}")
 
 
-def _rows_sorted(rows: np.ndarray) -> bool:
-    """True when no row of an (N, d) integer array is lexicographically below
-    the row before it; one pass per column, O(N * d)."""
-    tied = np.ones(max(len(rows) - 1, 0), dtype=bool)  # equal so far to the row before
+def _row_words(rows: np.ndarray) -> tuple[list[np.ndarray], list[tuple]]:
+    """An (N, d) int64 array as uint64 words that compare as its rows do.
+
+    Each column, less its minimum, takes the bits of its range (none for a
+    constant column, 64 for one that spans int64).  The columns fill the
+    words in order from the top bit, and a column that would cross a word
+    boundary starts the next word: one word for rows up to 64 bits wide,
+    and at most d.  Returns the words and, per column, the (word, shift,
+    mask, minimum) that read it back, all but the word index as uint64."""
+    words = [np.zeros(len(rows), dtype=np.uint64)]
+    fields, used = [], 0
     for c in range(rows.shape[1]):
         col = rows[:, c]
-        if (tied & (col[1:] < col[:-1])).any():
-            return False
-        tied &= col[1:] == col[:-1]
-        if not tied.any():
-            break
-    return True
+        # the initial values only matter for N = 0, where every width is 0
+        lo = int(col.min(initial=_INT64.max))
+        width = max(int(col.max(initial=_INT64.min)) - lo, 0).bit_length()
+        lo = np.uint64(lo % (1 << 64))  # two's complement: offsets wrap mod 2^64
+        if used + width > 64:
+            words.append(np.zeros(len(rows), dtype=np.uint64))
+            used = 0
+        shift = np.uint64(64 - used - width if width else 0)
+        if width:
+            words[-1] |= (col.view(np.uint64) - lo) << shift
+        fields.append((len(words) - 1, shift, np.uint64((1 << width) - 1), lo))
+        used += width
+    return words, fields
+
+
+def _neighbours(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each row after the first is below, and whether it equals,
+    the row before it, for rows packed as `_row_words` words."""
+    below = np.zeros(max(len(words[0]) - 1, 0), dtype=bool)
+    tied = ~below
+    for w in words:
+        below |= tied & (w[1:] < w[:-1])
+        tied &= w[1:] == w[:-1]
+    return below, tied
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (N, d) integer array in lexicographic order, and
-    the index among them of every input row.  Rows already in order are not
-    sorted again."""
-    order = slice(None) if _rows_sorted(rows) else np.lexsort(rows.T[::-1])
-    ordered = rows[order]
+    """Distinct rows of an (N, d) integer array in lexicographic order, as
+    int64, and the index among them of every input row.  The rows are
+    compared as `_row_words` packs them.  Rows already in order are not
+    sorted again, and int64 rows already distinct and in order are
+    returned as they are, not copied."""
+    rows = np.asarray(rows, dtype=np.int64)
+    words, fields = _row_words(rows)
+    below, tied = _neighbours(words)
+    order = None
+    if below.any():
+        order = np.lexsort(words[::-1])
+        words = [w[order] for w in words]
+        tied = _neighbours(words)[1]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
+    new[1:] = ~tied
+    rank = np.cumsum(new, dtype=np.intp) - 1
+    if order is None:
+        if new.all():
+            return rows, rank
+        inverse = rank
+    else:
+        inverse = np.empty_like(rank)
+        inverse[order] = rank
+    distinct = [w[new] for w in words]
+    uniq = np.empty((len(distinct[0]), rows.shape[1]), dtype=np.int64)
+    for c, (w, shift, mask, lo) in enumerate(fields):
+        uniq.view(np.uint64)[:, c] = ((distinct[w] >> shift) & mask) + lo
+    return uniq, inverse
+
+
+def _kept(rows: np.ndarray, given) -> np.ndarray:
+    """`rows`, or a copy of them where they are the caller's array `given`
+    and it, or an array it views, can still be written: memory that
+    someone else can write is never shared."""
+    if rows is not given:
+        return rows
+    base = rows
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return rows if base is None else rows.copy()
 
 
 def _row_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,6 +179,10 @@ class GridPointSet:
 
     `cells` is a lexicographically sorted (N, dim) int64 array; the set it
     represents is the collection of cell centers, all inside [0,1)^dim.
+    It is read-only: an input array that is already sorted, distinct and
+    read-only down to the memory it views (such as a cover-tree level) is
+    kept as it is, and any other is copied.  numpy lets the owner of an
+    array make it writable again, so a kept input must stay read-only.
     """
 
     dim: int
@@ -135,7 +198,7 @@ class GridPointSet:
         if arr.size:
             if arr.min() < 0 or arr.max() >= (1 << self.level):
                 raise ValueError("cell coordinates out of range for level")
-            arr = _unique_rows(arr)[0]
+            arr = _kept(_unique_rows(arr)[0], self.cells)
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
@@ -271,9 +334,10 @@ def build_cover_tree(P: GridPointSet) -> CoverTree:
 def coarsen(P: GridPointSet, level: int) -> GridPointSet:
     """Project P to a coarser grid: the occupied level-`level` cells.
 
-    They are read from P's cover tree, and the result keeps the tree's
-    level-0..`level` prefix as its own, so neither set's tree is built
-    again; the empty set builds no tree.
+    They are the level-`level` array of P's cover tree, kept without a
+    copy, and the result keeps the tree's level-0..`level` prefix as its
+    own, so neither set's tree is built again; the empty set builds no
+    tree.
     """
     if not 0 <= level <= P.level:
         raise ValueError(f"level {level} outside [0, {P.level}]")

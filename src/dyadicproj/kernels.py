@@ -137,7 +137,8 @@ def bin_profile(coords: np.ndarray, delta: float, kappa: int) -> tuple[int, int]
     part of x * scale above its floor: within 1e-9*delta of a bin face, the
     bin is a coin flip at double precision.  fewest is the least number of
     bins holding kappa points, kappa an integer in [1, N].  delta must be
-    finite and at least sqrt(m) * 2^-1023, so that scale is a finite float.
+    finite and at least sqrt(m) * 2^-1023, so that scale is a finite float,
+    and max|x| * scale finite, so that every bin is.
     The same integers on every backend: the active one runs m = 1, and the
     numpy fallback m >= 2, which the compiled library lacks."""
     coords = np.ascontiguousarray(coords, dtype=np.float64)
@@ -152,8 +153,13 @@ def bin_profile(coords: np.ndarray, delta: float, kappa: int) -> tuple[int, int]
     level = max(0, math.ceil(math.log2(root / delta) - 1e-12))
     while 2.0**-level * root > delta:
         level += 1
+    x = _finite_sorted(coords)
+    # sorted by the first column, whose largest |x| is at an end
+    top = float(max(-x[0, 0], x[-1, 0], np.abs(x[:, 1:]).max(initial=0.0)))
+    if top * 2.0**level == math.inf:
+        raise ValueError(f"coords times the bin scale 2^{level} overflow float64 (max |x| = {top})")
     impl = _active if m == 1 else _core_py
-    return impl.bin_profile(_finite_sorted(coords), 2.0**level, delta, int(kappa))
+    return impl.bin_profile(x, 2.0**level, delta, int(kappa))
 
 
 def parse_rows(buf, width: int) -> np.ndarray | None:

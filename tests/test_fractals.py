@@ -109,6 +109,21 @@ class TestDegenerate:
         with pytest.raises(ValueError):
             gen_degenerate("blob", n=1, level=2)
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            # unchecked, this returned the zero line and ignored `fixed`
+            ("line", dict(n=3, level=2, fixed=(1, 2)), "unknown generator key 'fixed'"),
+            ("point", dict(n=2, level=4, coords=(1, 1)), "unknown generator key 'coords'"),
+            ("cluster", dict(n=2, level=4), "missing generator key 'cube_level'"),
+        ],
+    )
+    def test_keys_checked_as_in_a_spec(self, kind, params, message):
+        takes = {"line": "n, level", "point": "n, level", "cluster": "n, level, cube_level"}
+        with pytest.raises(ValueError) as raised:
+            gen_degenerate(kind, **params)
+        assert str(raised.value) == f"{message}: {kind} takes {takes[kind]}"
+
 
 class TestGeneratorSpec:
     def test_cantor_spec(self):

@@ -6,6 +6,7 @@ from dyadicproj.grid import (
     DyadicCube,
     GridPointSet,
     _row_index,
+    _row_words,
     _unique_rows,
     build_cover_tree,
     coarsen,
@@ -36,6 +37,24 @@ class TestGridPointSet:
         assert a.flags.writeable and not np.shares_memory(a, P.cells)
         a[0] = 3
         assert P.cells.tolist() == [[0, 1], [2, 0], [3, 3]]
+
+    def test_read_only_view_of_writable_rows_not_shared(self):
+        a = np.array([[0, 1], [2, 0], [3, 3]], dtype=np.int64)
+        view = a[:]
+        view.setflags(write=False)
+        P = GridPointSet(2, 2, view)
+        assert not np.shares_memory(a, P.cells)
+        a[0] = 3
+        assert P.cells.tolist() == [[0, 1], [2, 0], [3, 3]]
+
+    def test_read_only_canonical_rows_kept(self, rng):
+        a = np.array([[0, 1], [2, 0], [3, 3]], dtype=np.int64)
+        a.setflags(write=False)
+        assert GridPointSet(2, 2, a).cells is a
+        # coarsening keeps the tree's level arrays, not copies of them
+        P = random_subset(rng, 2, 4)
+        tree = build_cover_tree(P)
+        assert all(coarsen(P, j).cells is tree.levels[j] for j in range(5))
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -187,6 +206,63 @@ class TestWideRows:
             want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
             assert np.array_equal(uniq, want)
             assert np.array_equal(inverse, want_inverse.ravel())
+
+
+INT64 = np.iinfo(np.int64)
+
+
+def _pooled_rows(rng, pools, n: int = 300) -> np.ndarray:
+    """Rows whose column c takes values from pools[c], so rows repeat, with
+    the repeats shuffled in."""
+    rows = np.stack([rng.choice(np.array(p, dtype=np.int64), size=n) for p in pools], axis=1)
+    return rng.permutation(np.concatenate([rows, rows[::7]]))
+
+
+# name: (column pools, packed words per row)
+PACKED_CASES = {
+    "full int64 range": ([[INT64.min, -1, 0, INT64.max]] * 3, 3),
+    "8 x 20 bits": ([[0, 1, 1 << 19, (1 << 20) - 1]] * 8, 3),
+    "64 bits after 1": ([[0, 1], [INT64.min, INT64.max], [0, 7]], 3),
+    "constant columns": ([[5], [0, 1, 2], [-7], [INT64.max]], 1),
+    "all equal": ([[3], [-2]], 1),
+    "negative": ([[-(1 << 40), -3, -1], [-5, 0, 5]], 1),
+}
+
+
+class TestPackedRows:
+    """_unique_rows and _row_index where the packed row words reach their
+    limits, against np.unique and tuple oracles."""
+
+    @staticmethod
+    def _inputs(rng, pools):
+        rows = _pooled_rows(rng, pools)
+        ordered = rows[np.lexsort(rows.T[::-1])]
+        # shuffled with repeats, in order with repeats, distinct in order,
+        # one row and none
+        return rows, ordered, np.unique(rows, axis=0), rows[:1], rows[:0]
+
+    @pytest.mark.parametrize("case", PACKED_CASES)
+    def test_unique_rows(self, rng, case):
+        pools, words = PACKED_CASES[case]
+        assert len(_row_words(_pooled_rows(rng, pools))[0]) == words
+        for rows in self._inputs(rng, pools):
+            uniq, inverse = _unique_rows(rows)
+            want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+            assert uniq.dtype == np.int64 and np.array_equal(uniq, want)
+            assert np.array_equal(inverse, want_inverse.ravel())
+            assert uniq.tolist() == [list(t) for t in cell_tuples(rows)]
+
+    @pytest.mark.parametrize("case", PACKED_CASES)
+    def test_row_index(self, rng, case):
+        pools = PACKED_CASES[case][0]
+        for b in self._inputs(rng, pools):
+            a = np.concatenate([_pooled_rows(rng, pools, 50), b[::-3]])
+            where: dict[tuple, set] = {}
+            for i, row in enumerate(map(tuple, b.tolist())):
+                where.setdefault(row, set()).add(i)
+            got = _row_index(a, b).tolist()
+            for row, at in zip(map(tuple, a.tolist()), got):
+                assert at in where[row] if row in where else at == -1
 
 
 def _level_sizes(P: GridPointSet) -> list[int]:

@@ -561,6 +561,22 @@ def test_bin_profile_refuses_delta_and_kappa_outside_their_range(impls, backend,
             kernels.bin_profile(np.zeros((3, m)), np.nextafter(least, 0.0), 1)
 
 
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_bin_profile_refuses_rows_whose_bins_overflow(impls, backend, monkeypatch):
+    # unchecked, x * scale was inf for both rows of the first case, one bin
+    # for two points 1e300 apart: (0, 1)
+    monkeypatch.setattr(kernels, "_active", impls[backend])
+    for rows in ([[1e300], [2e300]], [[1e300, 0.0], [2e300, 0.0]], [[0.0, -2e300], [1.0, 0.0]]):
+        with pytest.raises(ValueError, match="overflow"):
+            kernels.bin_profile(np.array(rows), 1e-300, 1)
+    # at delta = 1e-300 the scale is 2^997, and the largest |x| that bins is
+    # the largest float over it
+    largest = sys.float_info.max / 2.0**997
+    assert kernels.bin_profile(np.array([[-largest], [0.0], [largest]]), 1e-300, 3) == (3, 3)
+    with pytest.raises(ValueError, match="overflow"):
+        kernels.bin_profile(np.array([[0.0], [np.nextafter(largest, math.inf)]]), 1e-300, 1)
+
+
 def test_python_backend_explicit(monkeypatch):
     monkeypatch.setattr(kernels, "_active", _core_py)
     pts = np.array([[0.1], [0.2], [0.9]])
