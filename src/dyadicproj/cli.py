@@ -163,8 +163,8 @@ def _cmd_decompose(args) -> int:
         _out_file(out, name, args.force)
     write_decomposition(dec, out)
     print(
-        f"good {len(dec.good)} bad {len(dec.bad)} heavy_cubes {len(dec.maximal_heavy)} "
-        f"heavy_weight {dec.heavy_weight:.17g} budget {dec.weight_budget:.17g}"
+        f"good {len(dec.good)} bad {len(dec.bad)} heavy_cubes {len(dec.heavy.rows)} "
+        f"heavy_weight {dec.heavy.value:.17g} budget {dec.weight_budget:.17g}"
     )
     return 0
 

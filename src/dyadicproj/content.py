@@ -20,6 +20,7 @@ from ._exact import ExponentContext
 from .grid import MAX_DIM, MAX_LEVEL, DyadicCube, GridPointSet, build_cover_tree
 from .grid import (
     _FIRST_LINE,
+    _eq_by_value,
     _kept,
     _lines,
     _parse_rows,
@@ -45,6 +46,8 @@ class DyadicCover:
     cover's file.  `value` is the sum over cubes of side^s.
     `level_multiplicity` (cubes per level, the representation the value is
     recomputed from) and `cubes` (as DyadicCube objects) are views of it.
+    As for `GridPointSet.cells`, the read-only flag guards against
+    accidental writes only.  Covers compare by value.
     """
 
     rows: np.ndarray
@@ -76,13 +79,7 @@ class DyadicCover:
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other) -> bool:
-        """By value; the generated `==` cannot compare the rows array."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.value) == (other.s, other.value) and np.array_equal(
-            self.rows, other.rows
-        )
+    __eq__ = _eq_by_value
 
     @property
     def level_multiplicity(self) -> dict[int, int]:
@@ -133,22 +130,18 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
 # --- cover text format ------------------------------------------------------
 #
 # One line `level c_1 ... c_n` per cube, the cover's rows in (level, coords)
-# order, then a footer `value <decimal>`.  A decomposition's heavy-cube
-# list has it too.  As for point sets (grid), a read tries the compiled row
-# parser on the rows above a footer that _write_cubes writes, and runs the
-# general reader on the decoded lines only where that declines.
+# order, then a footer `value <decimal>`.  A decomposition's heavy cubes
+# are a cover too (`Decomposition.heavy`).  As for point sets (grid), a read
+# tries the compiled row parser on the rows above a footer that write_cover
+# writes, and runs the general reader on the decoded lines only where that
+# declines.
 
-# a footer as _write_cubes writes it
+# a footer as write_cover writes it
 _FOOTER = re.compile(rb"value ([-+.0-9e]+)")
 
 
-def _write_cubes(rows: np.ndarray, value: float, path) -> None:
-    """Write `level c_1 ... c_n` rows and a footer value in the cover text format."""
-    Path(path).write_text(kernels.format_rows(rows) + f"value {value:.17g}\n")
-
-
 def write_cover(cover: DyadicCover, path) -> None:
-    _write_cubes(cover.rows, cover.value, path)
+    Path(path).write_text(kernels.format_rows(cover.rows) + f"value {cover.value:.17g}\n")
 
 
 def read_cover(path, s: float) -> DyadicCover:

@@ -28,7 +28,7 @@ fallback's parser declines every input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -173,6 +173,17 @@ def _as_cell_array(dim: int, cells) -> np.ndarray:
     return arr
 
 
+def _eq_by_value(self, other) -> bool:
+    """`==` of a frozen record that holds arrays: field by field, arrays by
+    np.array_equal, where the generated `==` raises on an array's truth."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    )
+
+
 @dataclass(frozen=True)
 class GridPointSet:
     """Deduplicated set of level-`level` grid cells in dimension `dim`.
@@ -181,8 +192,11 @@ class GridPointSet:
     represents is the collection of cell centers, all inside [0,1)^dim.
     It is read-only: an input array that is already sorted, distinct and
     read-only down to the memory it views (such as a cover-tree level) is
-    kept as it is, and any other is copied.  numpy lets the owner of an
-    array make it writable again, so a kept input must stay read-only.
+    kept as it is, and any other is copied.  The flag guards against
+    accidental writes only: numpy lets the owner of an array make it
+    writable again, be it the set's own copy (`P.cells.setflags(write=True)`)
+    or a kept input, so a kept input must stay read-only.  Sets compare by
+    value.
     """
 
     dim: int
@@ -213,13 +227,7 @@ class GridPointSet:
     def __len__(self) -> int:
         return self.cells.shape[0]
 
-    def __eq__(self, other) -> bool:
-        """By value; the generated `==` cannot compare the cells array."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim, self.level) == (other.dim, other.level) and np.array_equal(
-            self.cells, other.cells
-        )
+    __eq__ = _eq_by_value
 
     @property
     def delta(self) -> float:
@@ -259,7 +267,7 @@ def _validate_exponent(P: GridPointSet, s: float) -> None:
         raise ValueError(f"exponent s={s} outside (0, {P.dim}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverTree:
     """Sparse occupied dyadic tree over a point set with per-node cell counts.
 
@@ -269,6 +277,7 @@ class CoverTree:
     the last level is the leaves.  A set has one tree (`build_cover_tree`),
     kept with it, and every array of it is read-only; the tree of
     `coarsen(P, j)` is the level-0..j prefix of P's, sharing its arrays.
+    Trees compare by identity; their sets compare by value.
     """
 
     levels: tuple[np.ndarray, ...]

@@ -22,6 +22,12 @@ fallback's parser declines every input; a declined read runs grid's
 general reader, the reference.  `bin_profile` here works out the side from
 delta, and runs m >= 2 on the fallback whatever the backend.
 
+`coincidence_count` and `bin_profile` take their rows through one helper,
+`_sorted_rows`: contiguous float64 (N, m) rows, m >= 1, ordered by the
+first coordinate, finite.  An ordered array passes through as itself, so
+`projection.classify_direction` sorts a projection once and each kernel
+only checks it.
+
 At import time this module loads no other dyadicproj module but the two
 backends (`riesz_pair_sum` reads grid.MAX_DIM when called), so grid can
 import it to read and write its text formats.
@@ -66,23 +72,18 @@ def backend_name() -> str:
     return "python" if _active is _core_py else "compiled"
 
 
-def _sorted_by_first(coords: np.ndarray, copy: bool = True) -> np.ndarray:
-    """Rows of an (N, m) array ordered by the first coordinate: the array
-    itself if already so, and sorted in place if not copy and m = 1."""
-    first = coords[:, 0]
-    if (first[1:] >= first[:-1]).all():
-        return coords
-    if copy or coords.shape[1] > 1:
-        return coords[np.argsort(first)]
-    first.sort()
-    return coords
-
-
-def _finite_sorted(coords: np.ndarray) -> np.ndarray:
-    """_sorted_by_first(coords), refusing non-finite rows.  The sort puts NaN
-    last and infinities at the ends, so the first column's two end entries
-    speak for the whole column."""
-    x = _sorted_by_first(coords)
+def _sorted_rows(coords) -> np.ndarray:
+    """coords as contiguous float64 (N, m) rows, m >= 1, ordered by the
+    first coordinate: the array itself if already so, else sorted (np.sort
+    for m = 1, an argsort gather otherwise).  Non-finite rows are refused:
+    the sort puts NaN last and infinities at the ends, so the first
+    column's two end entries speak for the whole column."""
+    x = np.ascontiguousarray(coords, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("coords must be a 2-D array with at least one column")
+    first = x[:, 0]
+    if not (first[1:] >= first[:-1]).all():
+        x = np.sort(x, axis=0) if x.shape[1] == 1 else x[np.argsort(first)]
     if len(x) and not (
         math.isfinite(x[0, 0])
         and math.isfinite(x[-1, 0])
@@ -102,13 +103,11 @@ def coincidence_count(coords: np.ndarray, delta: float) -> int:
     the first coordinate's square, so tied rows may come in any order.
     delta must be finite and >= 0, and the rows finite.
     """
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[1] == 0:
-        raise ValueError("coords must be a 2-D array with at least one column")
+    x = _sorted_rows(coords)
     delta = float(delta)
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    return int(_active.pair_count(_finite_sorted(coords), delta))
+    return int(_active.pair_count(x, delta))
 
 
 def riesz_pair_sum(points: np.ndarray, power: int) -> float:
@@ -141,10 +140,8 @@ def bin_profile(coords: np.ndarray, delta: float, kappa: int) -> tuple[int, int]
     and max|x| * scale finite, so that every bin is.
     The same integers on every backend: the active one runs m = 1, and the
     numpy fallback m >= 2, which the compiled library lacks."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[1] == 0:
-        raise ValueError("coords must be a 2-D array with at least one column")
-    n, m = coords.shape
+    x = _sorted_rows(coords)
+    n, m = x.shape
     root, delta = math.sqrt(m), float(delta)
     if not root * 2.0**-1023 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= sqrt(m) * 2^-1023, got {delta}")
@@ -153,7 +150,6 @@ def bin_profile(coords: np.ndarray, delta: float, kappa: int) -> tuple[int, int]
     level = max(0, math.ceil(math.log2(root / delta) - 1e-12))
     while 2.0**-level * root > delta:
         level += 1
-    x = _finite_sorted(coords)
     # sorted by the first column, whose largest |x| is at an end
     top = float(max(-x[0, 0], x[-1, 0], np.abs(x[:, 1:]).max(initial=0.0)))
     if top * 2.0**level == math.inf:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from ._exact import _ceil_pow2, _cmp_pow2, snap_exponent
-from .grid import GridPointSet, _validate_exponent, build_cover_tree
+from .grid import GridPointSet, _eq_by_value, _validate_exponent, build_cover_tree
 
 __all__ = [
     "Plane",
@@ -56,6 +56,8 @@ class Plane:
     n: int
     m: int
     frame: np.ndarray  # (m, n) float64, rows orthonormal
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self):
         if not 0 < self.m < self.n:
@@ -211,7 +213,7 @@ def classify_direction(
     if len(P) == 0:
         raise ValueError("cannot classify directions for an empty set")
     _check_scan(P, s, eps, V.m)
-    coords = kernels._sorted_by_first(project_points(V, P), copy=False)
+    coords = kernels._sorted_rows(project_points(V, P))
     energy = kernels.coincidence_count(coords, P.delta)
     n_boundary, min_cover = kernels.bin_profile(coords, P.delta, kappa)
     threshold, exponent = _energy_threshold(P.level, s, eps, V.m)
@@ -241,6 +243,8 @@ class DirectionRecord:
     threshold: float
     min_cover: int
     n_boundary: int
+
+    __eq__ = _eq_by_value
 
 
 @dataclass(frozen=True)

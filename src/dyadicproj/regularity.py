@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._exact import _ceil_pow2, snap_exponent
-from .content import _write_cubes, optimal_cover
+from .content import DyadicCover, optimal_cover, write_cover
 from .grid import GridPointSet, _row_index, _validate_exponent, build_cover_tree, write_pointset
 
 __all__ = [
@@ -59,16 +59,15 @@ def minimal_spread_constant(P: GridPointSet, s: float) -> float:
 class Decomposition:
     """Good/bad split of a point set by maximal heavy cubes.
 
-    Every bad cell lies under a cube of `maximal_heavy` (an antichain of
-    heavy cubes with no heavy strict ancestor); no good cell does.
-    `maximal_heavy` is a read-only (N, 1 + dim) int64 array of
-    `level c_1 ... c_n` rows in (level, coords) order, as `DyadicCover.rows`
-    is: the lines of the heavy-cube file.
+    Every bad cell lies under a cube of `heavy` (an antichain of heavy
+    cubes with no heavy strict ancestor); no good cell does.  `heavy` is
+    the disjoint dyadic cover of the bad part that those cubes make, its
+    value the sum of side^s over them: the heavy-cube file.
     """
 
     good: GridPointSet
     bad: GridPointSet
-    maximal_heavy: np.ndarray
+    heavy: DyadicCover
     params: tuple[float, float, float, float]  # (s, C, L, tau)
 
     @property
@@ -82,14 +81,8 @@ class Decomposition:
         return self.__dict__["_net"]
 
     @property
-    def heavy_weight(self) -> float:
-        """Sum of side^s over the maximal heavy cubes."""
-        s = self.params[0]
-        return float(sum(2.0 ** (-j * s) for j in self.maximal_heavy[:, 0].tolist()))
-
-    @property
     def weight_budget(self) -> float:
-        """Guaranteed ceiling 1/(tau*L) for heavy_weight (when the
+        """Guaranteed ceiling 1/(tau*L) for heavy.value (when the
         cell-count precondition holds)."""
         _, _, L, tau = self.params
         return 1.0 / (tau * L)
@@ -137,7 +130,7 @@ def heavy_decompose(
         raise ValueError(f"L={L} must be finite and >= 1")
     if len(P) == 0:
         empty = GridPointSet.empty(P.dim, P.level)
-        no_cubes = np.empty((0, 1 + P.dim), dtype=np.int64)
+        no_cubes = DyadicCover(np.empty((0, 1 + P.dim), dtype=np.int64), s, 0.0)
         return Decomposition(empty, empty, no_cubes, (s, C, L, tau))
     if len(P) > C * 2.0 ** (P.level * s) * (1 + 1e-9):
         warnings.warn(
@@ -155,10 +148,12 @@ def heavy_decompose(
         need = [tau * C * L * 2.0 ** ((P.level - j) * s) for j in range(P.level + 1)]
     heavy = [tree.counts[j] >= need[j] for j in range(P.level + 1)]
     maximal, under = tree.antichain(heavy)
+    weight = float(sum(2.0 ** (-j * s) for j in maximal[:, 0].tolist()))
     # the leaf level is P.cells in order
     bad = GridPointSet(P.dim, P.level, P.cells[under])
     good = GridPointSet(P.dim, P.level, P.cells[~under])
-    return Decomposition(good, bad, maximal, (s, float(C), float(L), float(tau)))
+    params = (s, float(C), float(L), float(tau))
+    return Decomposition(good, bad, DyadicCover(maximal, s, weight), params)
 
 
 def _greedy_net(P: GridPointSet) -> GridPointSet:
@@ -249,4 +244,4 @@ def write_decomposition(dec: Decomposition, out_dir, prefix: str = "") -> None:
     out = Path(out_dir)
     write_pointset(dec.good, out / f"{prefix}good.txt")
     write_pointset(dec.bad, out / f"{prefix}bad.txt")
-    _write_cubes(dec.maximal_heavy, dec.heavy_weight, out / f"{prefix}heavy.txt")
+    write_cover(dec.heavy, out / f"{prefix}heavy.txt")

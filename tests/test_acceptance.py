@@ -94,7 +94,7 @@ def test_criterion_3_heavy_decomposition_suite():
         L = (4.0, 2.0 / tau, 4.0 / tau)[seed % 3]
         C = len(P) * 2.0 ** (-level * s)
         dec = heavy_decompose(P, s, C, L, tau)
-        assert dec.heavy_weight <= 1.0 / (tau * L) + 1e-9, f"seed {seed}: weight bound"
+        assert dec.heavy.value <= 1.0 / (tau * L) + 1e-9, f"seed {seed}: weight bound"
         if len(dec.net):
             net_spread = minimal_spread_constant(dec.net, s)
             assert net_spread <= 4**n * tau * C * L + 1e-9, f"seed {seed}: net spread"

@@ -309,6 +309,22 @@ class TestMultiscan:
         for (_, n_bad, num_samples), r in zip(calls, rows):
             assert num_samples == 40 and n_bad / 40 == float(r[col["bad_fraction"]])
 
+    def test_readme_exit_two_example(self, tmp_path, capsys):
+        # README's four-corner Cantor set at s = 0.9, which is not regular there
+        code = run(
+            ["multiscan", "--gen", "cantor:keep=0|3,base=4,dims=2,iters=6", "--s", 0.9,
+             "--eps", 0.05, "--samples", 200, "--seed", 3, "--level-min", 6,
+             "--level-max", 12, "--out", tmp_path]
+        )
+        assert code == 2
+        assert "violation" in capsys.readouterr().err
+        header, *rows = (tmp_path / "summary.csv").read_text().splitlines()
+        col = {name: i for i, name in enumerate(header.split(","))}
+        rows = {int(r[0]): r for r in (r.split(",") for r in rows)}
+        assert [rows[j][col["violation"]] for j in range(6, 13)] == list("0010101")
+        assert float(rows[8][col["bad_fraction"]]) == 0.78
+        assert rows[8][col["budget"]] == "0.75785828325519899"
+
     def test_line_with_tight_budget_violates(self, tmp_path, capsys):
         code = run(
             ["multiscan", "--gen", "line:n=2,level=6", "--s", 1.0, "--eps", 0.1,

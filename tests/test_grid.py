@@ -90,6 +90,13 @@ class TestGridPointSet:
         assert GridPointSet.empty(2, 3) == GridPointSet.empty(2, 3)
         assert GridPointSet.empty(2, 3) != GridPointSet.empty(3, 3)
 
+    def test_trees_compare_by_identity(self):
+        # a tree is kept with its set, and the set compares by value
+        P = GridPointSet.from_cells(2, 3, [(5, 1), (0, 7), (2, 2)])
+        Q = GridPointSet(2, 3, P.cells.copy())
+        assert build_cover_tree(P) == build_cover_tree(P)
+        assert build_cover_tree(P) != build_cover_tree(Q) and P == Q
+
 
 def _shared_prefix_rows(rng, dim: int, level: int, n: int = 300) -> np.ndarray:
     """Rows whose coordinates each take one of three values per column, so

@@ -231,16 +231,14 @@ def test_coincidence_count_refuses_delta_outside_its_range(impls, backend, monke
 @pytest.mark.parametrize("m", [1, 2])
 def test_sort_by_first_coordinate_once(rng, m):
     x = rng.random((50, m))
-    ordered = kernels._sorted_by_first(x)
+    given = x.copy()
+    ordered = kernels._sorted_rows(x)
     assert ordered is not x and (np.diff(ordered[:, 0]) >= 0).all()
     assert sorted(map(tuple, ordered)) == sorted(map(tuple, x))
     # an ordered array comes back as itself, so it is not sorted again
-    assert kernels._sorted_by_first(ordered) is ordered
-    # without a copy one column is sorted in place; several are gathered
-    y = x.copy()
-    got = kernels._sorted_by_first(y, copy=False)
-    assert (got is y) == (m == 1) and np.array_equal(got, ordered)
-    assert (y is got) or np.array_equal(y, x)
+    assert kernels._sorted_rows(ordered) is ordered
+    # the input itself is never reordered
+    assert np.array_equal(x, given)
 
 
 def test_dispatcher_counts_match_brute_force():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -82,6 +83,13 @@ class TestPlane:
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
             Plane(2, 2, np.eye(2))
+
+    def test_equality_by_value(self):
+        V = haar_sample(3, 2, np.random.default_rng(1))
+        assert V == haar_sample(3, 2, np.random.default_rng(1)) and not V != V
+        assert V != haar_sample(3, 2, np.random.default_rng(2))
+        assert Plane(2, 1, np.array([[1.0, 0.0]])) != Plane(2, 1, np.array([[0.0, 1.0]]))
+        assert V != (V.n, V.m, V.frame)
 
 
 class TestHaarSample:
@@ -494,6 +502,16 @@ class TestDirectionScan:
         with pytest.raises(ValueError, match=match):
             direction_scan(P, s=s, eps=eps, num_samples=samples, master_seed=1, m=m)
 
+    def test_reports_compare_by_value(self):
+        P = gen_cantor_product(CANTOR2, 3)
+        a = direction_scan(P, s=1.0, eps=0.1, num_samples=12, master_seed=9, workers=1)
+        b = direction_scan(P, s=1.0, eps=0.1, num_samples=12, master_seed=9, workers=2)
+        assert a == b and a.per_direction[0] == b.per_direction[0]
+        assert a != direction_scan(P, s=1.0, eps=0.1, num_samples=12, master_seed=8)
+        record = a.per_direction[0]
+        assert record != dataclasses.replace(record, energy=record.energy + 1)
+        assert record != dataclasses.replace(record, frame=-record.frame)
+
     def test_deterministic_across_workers(self, tmp_path):
         P = gen_cantor_product(CANTOR2, 3)
         a = direction_scan(P, s=1.0, eps=0.1, num_samples=32, master_seed=9, workers=1)
@@ -610,13 +628,13 @@ class TestDirectionScan:
         # counts its pairs once: the counts a per-layer trace of a scan
         # relies on
         calls = {"project_points": 0, "classify_direction": 0, "coincidence_count": 0}
-        sorts, order = [], kernels._sorted_by_first
+        sorts, order = [], kernels._sorted_rows
 
-        def sorted_by_first(x, copy=True):
+        def sorted_rows(x):
             sorts.append(bool((x[1:, 0] < x[:-1, 0]).any()))
-            return order(x, copy)
+            return order(x)
 
-        monkeypatch.setattr(kernels, "_sorted_by_first", sorted_by_first)
+        monkeypatch.setattr(kernels, "_sorted_rows", sorted_rows)
 
         def counted(module, name):
             fn = getattr(module, name)

@@ -14,7 +14,7 @@ from dyadicproj.fractals import (
 from dyadicproj import cli, grid, regularity
 from dyadicproj._exact import snap_exponent
 from dyadicproj.grid import GridPointSet
-from dyadicproj.content import optimal_cover
+from dyadicproj.content import optimal_cover, read_cover
 from dyadicproj.regularity import (
     _greedy_net,
     frostman_subset,
@@ -70,7 +70,7 @@ class TestHeavyDecompose:
         dec = heavy_decompose(P, 1.0, C=1.0, L=4.0, tau=0.25)
         assert len(dec.good) == 0
         assert len(dec.bad) == len(P)
-        assert dec.heavy_weight <= dec.weight_budget + 1e-12
+        assert dec.heavy.value <= dec.weight_budget + 1e-12
 
     def test_cluster_plus_spread_split(self):
         # dense cluster in one level-5 cube plus a sparse arithmetic spread:
@@ -83,7 +83,7 @@ class TestHeavyDecompose:
         assert cluster.issubset(dec.bad)
         assert len(dec.good) > 0
         assert all(c[0] >= 64 for c in dec.good.cells.tolist())
-        assert dec.heavy_weight <= 1.0 / (0.25 * 8.0) + 1e-12
+        assert dec.heavy.value <= 1.0 / (0.25 * 8.0) + 1e-12
 
     def test_default_c_is_the_cell_count_normalisation(self):
         # C = len(P) * 2.0 ** (-9 * s) = 512 exactly; the 4096 cells of the
@@ -91,7 +91,7 @@ class TestHeavyDecompose:
         P = gen_degenerate("cluster", n=2, level=9, cube_level=3)
         dec = heavy_decompose(P, 1 / 3)
         assert dec.params[1] == 512.0
-        assert dec.maximal_heavy.tolist() == [[3, 0, 0]]
+        assert dec.heavy.rows.tolist() == [[3, 0, 0]]
 
     def test_exact_tie_at_the_default_normalisation(self):
         # {0, 1} at level 3, s = 1/2: the level-2 cube holds 2 cells, and its
@@ -99,9 +99,9 @@ class TestHeavyDecompose:
         # tau*C*L * 2.0 ** ((3 - 2) * s) reads 2.0000000000000004
         P = GridPointSet.from_cells(1, 3, [(0,), (1,)])
         dec = heavy_decompose(P, 0.5)
-        assert dec.maximal_heavy.tolist() == [[2, 0]]
+        assert dec.heavy.rows.tolist() == [[2, 0]]
         assert len(dec.good) == 0 and len(dec.bad) == 2
-        assert dec.heavy_weight == dec.weight_budget == 0.5
+        assert dec.heavy.value == dec.weight_budget == 0.5
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_default_normalisation_matches_fraction_oracle(self, dim):
@@ -122,7 +122,7 @@ class TestHeavyDecompose:
             frac = snapped[int(rng.integers(len(snapped)))]
             tau, L = [(4.0**-dim, 2.0 * 4**dim), (0.5, 3.0), (0.3, 7.0)][int(rng.integers(3))]
             want, tied = heavy_cubes_oracle(P, frac, tau, L)
-            assert heavy_decompose(P, float(frac), L=L, tau=tau).maximal_heavy.tolist() == want
+            assert heavy_decompose(P, float(frac), L=L, tau=tau).heavy.rows.tolist() == want
             ties += tied
         assert ties >= 10
 
@@ -138,7 +138,7 @@ class TestHeavyDecompose:
             tau = 4.0**-n
             L = 2.0 / tau
             dec = heavy_decompose(P, s, C, L, tau)
-            assert dec.heavy_weight <= 1.0 / (tau * L) + 1e-9
+            assert dec.heavy.value <= 1.0 / (tau * L) + 1e-9
             if len(dec.net):
                 assert minimal_spread_constant(dec.net, s) <= 4**n * tau * C * L + 1e-9
 
@@ -147,7 +147,7 @@ class TestHeavyDecompose:
             P = gen_random_tree_set(2, 1.2, 8, seed=seed)
             C = len(P) * 2.0 ** (-8 * 1.2)
             dec = heavy_decompose(P, 1.2, C, L=32.0, tau=1 / 16)
-            keys = dec.maximal_heavy.tolist()
+            keys = dec.heavy.rows.tolist()
             assert keys == sorted(keys)
             if len(dec.good) == 0:
                 continue
@@ -195,6 +195,29 @@ class TestHeavyDecompose:
         assert (tmp_path / "bad.txt").exists()
         heavy = (tmp_path / "heavy.txt").read_text().splitlines()
         assert heavy[-1].startswith("value ")
+
+    def test_heavy_file_reads_back_as_the_cover(self, tmp_path):
+        P = gen_random_tree_set(2, 1.5, 7, seed=3)
+        dec = heavy_decompose(P, 1.5, L=2.0, tau=0.05)
+        assert len(dec.heavy.rows) == 1
+        write_decomposition(dec, tmp_path)
+        assert read_cover(tmp_path / "heavy.txt", 1.5) == dec.heavy
+        # a footer-only file does not state the dimension: it reads back
+        # as (0, 2) rows, whatever the set's
+        dec = heavy_decompose(P, 1.5)
+        assert dec.heavy.rows.shape == (0, 3)
+        write_decomposition(dec, tmp_path, prefix="none_")
+        empty = read_cover(tmp_path / "none_heavy.txt", 1.5)
+        assert (empty.value, len(empty.rows)) == (dec.heavy.value, 0) == (0.0, 0)
+
+    def test_decompositions_compare_by_value(self):
+        P = gen_random_tree_set(2, 1.5, 7, seed=3)
+        dec = heavy_decompose(P, 1.5, L=2.0, tau=0.05)
+        again = heavy_decompose(GridPointSet(2, 7, P.cells.copy()), 1.5, L=2.0, tau=0.05)
+        assert dec == again and not dec != again
+        assert dec != heavy_decompose(P, 1.5)
+        empty = heavy_decompose(GridPointSet.empty(2, 7), 1.5)
+        assert empty == heavy_decompose(GridPointSet.empty(2, 7), 1.5)
 
 
 class TestGreedyNet:
