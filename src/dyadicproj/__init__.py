@@ -29,16 +29,20 @@ from .projection import (
     DirectionRecord,
     Plane,
     RieszResult,
+    ScaleRecord,
     ScanReport,
     classify_direction,
     coincidence_probability_exact,
     direction_scan,
     haar_sample,
     min_projection_cover,
+    multiscale_scan,
     project_points,
+    read_summary,
     riesz_sum,
     summary_line,
     write_scan_report,
+    write_summary,
 )
 from .regularity import (
     Decomposition,

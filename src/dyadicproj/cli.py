@@ -1,29 +1,30 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages: generate, content, spread,
-decompose, frostman, scan, multiscan.  All randomized commands require an
-explicit --seed; reports are only overwritten with --force.  Exit codes:
-0 success, 1 usage or input error (any ValueError, reported as
-`error: ...`), 2 budget violation (multiscan).
+decompose, frostman, scan, multiscan.  Each parses its options, calls the
+library and writes files; multiscan's per-scale loop and its budget gate
+are `projection.multiscale_scan`.  All randomized commands require an
+explicit --seed; reports are only overwritten with --force, and every
+output path is checked before any is written.  Exit codes: 0 success, 1
+usage or input error (any ValueError, reported as `error: ...`), 2 budget
+violation (multiscan).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .content import optimal_cover, write_cover
 from .fractals import parse_generator_spec
-from .grid import GridPointSet, coarsen, read_pointset, write_pointset
+from .grid import GridPointSet, read_pointset, write_pointset
 from .projection import (
-    _check_scan,
-    _derived_seed,
-    _over_budget,
     direction_scan,
+    multiscale_scan,
     summary_line,
     write_scan_report,
+    write_summary,
 )
 from .regularity import (
     heavy_decompose,
@@ -197,81 +198,35 @@ def _cmd_scan(args) -> int:
 
 def _cmd_multiscan(args) -> int:
     """Scan every level from --level-min to --level-max and gate on the
-    eps-budget.
-
-    Per scale j: coarsen the input to level j, prune heavy cubes (cell-count
-    normalization C = |P_j| * 2^(-j*s), heavy_decompose's default, as in
-    `decompose`), then Monte-Carlo the direction classification on the
-    surviving regular part.  A scale violates when
-    bad_fraction > budget * --slack (`_over_budget`, exact when eps snaps);
-    any violation exits 2.
-    """
+    eps-budget (`multiscale_scan`); write each scale's point set, cover,
+    decomposition and scan report, then summary.csv.  Any scale over
+    budget exits 2."""
     seed = _require_seed(args)
-    if not (math.isfinite(args.slack) and args.slack > 0):
-        raise _UsageError(f"--slack must be positive and finite, got {args.slack}")
     P = _load_points(args.input, args.gen, seed)
-    if not 0 <= args.level_min <= args.level_max <= P.level:
-        raise _UsageError(
-            f"level range [{args.level_min}, {args.level_max}] invalid "
-            f"for input at level {P.level}"
-        )
-    _check_scan(P, args.s, args.eps, args.m)  # a scale whose net is empty scans nothing
+    scales = multiscale_scan(
+        P, args.s, args.eps, args.samples, seed, args.level_min, args.level_max,
+        args.m, args.workers, args.slack, args.big_l, args.tau,
+    )
     out = Path(args.out)
-
-    rows = []
-    worst = (None, -1.0)
-    violation = False
     for j in range(args.level_min, args.level_max + 1):
         for name in ("points", "cover", "good", "bad", "heavy", "scan"):
             _out_file(out, f"scale{j}_{name}.txt", args.force)
-        Pj = coarsen(P, j)
-        delta = 2.0**-j
-        dec = heavy_decompose(Pj, args.s, None, args.big_l, args.tau)
-        write_decomposition(dec, out, prefix=f"scale{j}_")
-        write_pointset(Pj, out / f"scale{j}_points.txt")
-        cover = optimal_cover(Pj, args.s)
-        write_cover(cover, out / f"scale{j}_cover.txt")
-        scale_seed = _derived_seed(seed, j)[1]
-        if len(dec.net):
-            report = direction_scan(
-                dec.net,
-                s=args.s,
-                eps=args.eps,
-                num_samples=args.samples,
-                master_seed=scale_seed,
-                m=args.m,
-                workers=args.workers,
-            )
-            write_scan_report(report, out / f"scale{j}_scan.txt")
-            n_bad = sum(r.label == "bad" for r in report.per_direction)
-            bad_fraction = report.bad_fraction
-            budget = report.budget
-            mean_energy = report.mean_energy
-            energy_bound = report.energy_bound
-        else:
-            n_bad, bad_fraction, budget = 0, 0.0, delta**args.eps
-            mean_energy = energy_bound = 0.0
-        bad_over_budget = _over_budget(n_bad, args.samples, j, args.eps, args.slack)
-        violation |= bad_over_budget
-        ratio = bad_fraction / budget if budget else 0.0
-        if ratio > worst[1]:
-            worst = (j, ratio)
-        rows.append(
-            f"{j},{len(Pj)},{cover.value:.17g},"
-            f"{minimal_spread_constant(Pj, args.s):.17g},"
-            f"{len(dec.good)},{len(dec.bad)},{bad_fraction:.17g},{budget:.17g},"
-            f"{mean_energy:.17g},{energy_bound:.17g},{int(bad_over_budget)}"
-        )
-
-    header = (
-        "scale,cells,content,spread_constant,good,bad,"
-        "bad_fraction,budget,mean_energy,energy_bound,violation"
-    )
-    _out_file(out, "summary.csv", args.force).write_text(
-        header + "\n" + "\n".join(rows) + "\n"
-    )
-    print(f"worst scale {worst[0]} bad_fraction/budget {worst[1]:.6g}")
-    if violation:
+    _out_file(out, "summary.csv", args.force)
+    records = []
+    for record, Pj, dec, cover, report in scales:
+        prefix = f"scale{record.scale}_"
+        write_cover(cover, out / f"{prefix}cover.txt")
+        if report is not None:
+            write_scan_report(report, out / f"{prefix}scan.txt")
+        del cover, report  # freed before the point sets, the largest writes
+        write_decomposition(dec, out, prefix=prefix)
+        write_pointset(Pj, out / f"{prefix}points.txt")
+        del Pj, dec  # and this scale freed before the next is built
+        records.append(record)
+    write_summary(records, out / "summary.csv")
+    worst = max(records, key=lambda r: r.bad_fraction / r.budget)  # budget = delta^eps > 0
+    print(f"worst scale {worst.scale} bad_fraction/budget {worst.bad_fraction / worst.budget:.6g}")
+    if any(r.violation for r in records):
         print("budget violation detected", file=sys.stderr)
         return 2
     return 0

@@ -9,8 +9,12 @@ covering numbers.  `classify_direction` computes both sides from one
 projection of P, ordered once: the energy and its label, and the fewest
 bins holding kappa points.  `direction_scan` Monte-Carlos it over
 Haar-random planes and compares the bad fraction with the delta^eps budget.
+`multiscale_scan` is the scale-by-scale step: at each delta_j = 2^-j it
+prunes heavy cubes, scans the net of the good part, and gates the bad
+fraction against delta_j^eps.  Its per-scale `ScaleRecord`s are the rows of
+`summary.csv`, which `write_summary` writes and `read_summary` reads back.
 When s and eps snap to small-denominator rationals, kappa, the label and
-multiscan's budget gate are decided in exact arithmetic (see _exact).
+the budget gate are decided in exact arithmetic (see _exact).
 """
 
 from __future__ import annotations
@@ -18,20 +22,23 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from ._exact import _ceil_pow2, _cmp_pow2, snap_exponent
-from .grid import GridPointSet, _eq_by_value, _validate_exponent, build_cover_tree
+from .content import DyadicCover, optimal_cover
+from .grid import GridPointSet, _eq_by_value, _validate_exponent, build_cover_tree, coarsen
+from .regularity import Decomposition, heavy_decompose, minimal_spread_constant
 
 __all__ = [
     "Plane",
     "ScanReport",
+    "ScaleRecord",
     "DirectionRecord",
     "ClassifiedDirection",
     "RieszResult",
@@ -41,9 +48,12 @@ __all__ = [
     "min_projection_cover",
     "classify_direction",
     "direction_scan",
+    "multiscale_scan",
     "coincidence_probability_exact",
     "write_scan_report",
     "summary_line",
+    "write_summary",
+    "read_summary",
 ]
 
 _GRAM_TOL = 1e-12
@@ -260,6 +270,7 @@ class ScanReport:
     master_seed: int
     kappa: int
     per_direction: tuple[DirectionRecord, ...]
+    n_bad: int
     bad_fraction: float
     budget: float
     mean_energy: float
@@ -371,11 +382,105 @@ def direction_scan(
         master_seed=int(master_seed),
         kappa=kappa,
         per_direction=tuple(records),
+        n_bad=n_bad,
         bad_fraction=bad_fraction,
         budget=float(delta**eps),
         mean_energy=mean_energy,
         energy_bound=float(energy_bound),
     )
+
+
+# --- multiscale scan ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScaleRecord:
+    """One scale of a multiscale scan, and one row of `summary.csv`.
+
+    cells, content and spread_constant describe the input coarsened to the
+    scale, good and bad the sizes of its decomposition's parts.  The scan
+    fields are those of the net's report; where the net is empty they are
+    0.0, and budget is delta^eps.  violation is the budget gate's verdict.
+    """
+
+    scale: int
+    cells: int
+    content: float
+    spread_constant: float
+    good: int
+    bad: int
+    bad_fraction: float
+    budget: float
+    mean_energy: float
+    energy_bound: float
+    violation: bool
+
+
+def multiscale_scan(
+    P: GridPointSet,
+    s: float,
+    eps: float,
+    num_samples: int,
+    master_seed: int,
+    level_min: int,
+    level_max: int,
+    m: int = 1,
+    workers: int = 1,
+    slack: float = 1.0,
+    big_l: float | None = None,
+    tau: float | None = None,
+) -> Iterator[tuple[ScaleRecord, GridPointSet, Decomposition, DyadicCover, ScanReport | None]]:
+    """Scan P at every level j from level_min to level_max and gate each
+    scale on its eps-budget.
+
+    At scale j the input is coarsened to level j and its heavy cubes are
+    pruned (heavy_decompose with its default C = |P_j| * 2^(-j*s), L = big_l
+    and tau = tau); the net of the good part is scanned with master seed
+    derived from (master_seed, j).  A scale violates when its bad fraction
+    exceeds budget * slack, decided exactly when eps snaps.
+
+    Returns a generator of (record, P_j, decomposition, cover, report) in
+    order of j, where cover is P_j's optimal cover at s and report is None
+    where the net is empty.  It keeps no reference to a scale it has
+    yielded, so the caller decides when each scale's sets are freed.  The
+    level range, slack, num_samples, s, eps and m are checked when this is
+    called, before any scale is computed.
+    """
+    if not (math.isfinite(slack) and slack > 0):
+        raise ValueError(f"slack must be positive and finite, got {slack}")
+    if not 0 <= level_min <= level_max <= P.level:
+        raise ValueError(
+            f"level range [{level_min}, {level_max}] invalid for input at level {P.level}"
+        )
+    if num_samples < 0:
+        raise ValueError("num_samples must be >= 0")
+    _check_scan(P, s, eps, m)  # a scale whose net is empty scans nothing
+
+    def scale(j):
+        Pj = coarsen(P, j)
+        dec = heavy_decompose(Pj, s, None, big_l, tau)
+        cover = optimal_cover(Pj, s)
+        if len(dec.net):
+            seed = _derived_seed(master_seed, j)[1]
+            report = direction_scan(dec.net, s, eps, num_samples, seed, m, workers)
+            n_bad = report.n_bad
+            scan = (report.bad_fraction, report.budget, report.mean_energy, report.energy_bound)
+        else:
+            report, n_bad = None, 0
+            scan = (0.0, float(Pj.delta**eps), 0.0, 0.0)
+        record = ScaleRecord(
+            j,
+            len(Pj),
+            float(cover.value),
+            minimal_spread_constant(Pj, s),
+            len(dec.good),
+            len(dec.bad),
+            *scan,
+            _over_budget(n_bad, num_samples, j, eps, slack),
+        )
+        return record, Pj, dec, cover, report
+
+    return (scale(j) for j in range(level_min, level_max + 1))
 
 
 # --- two-point coincidence probability (n=2, m=1) ---------------------------
@@ -426,3 +531,53 @@ def write_scan_report(report: ScanReport, path) -> None:
         )
     lines.append(summary_line(report))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+_SUMMARY_TYPES = {f.name: f.type for f in fields(ScaleRecord)}  # "int", "float" or "bool"
+_SUMMARY_HEADER = ",".join(_SUMMARY_TYPES)
+
+
+def write_summary(records, path) -> None:
+    """Write `summary.csv`: a header of ScaleRecord's field names, then one
+    row per record, with integers in decimal, floats at %.17g and violation
+    as 0 or 1.  read_summary reads it back exactly."""
+    lines = [_SUMMARY_HEADER]
+    for r in records:
+        lines.append(",".join(
+            f"{getattr(r, name):.17g}" if kind == "float" else str(int(getattr(r, name)))
+            for name, kind in _SUMMARY_TYPES.items()
+        ))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+_VIOLATION = {"0": False, "1": True}
+
+
+def _summary_cell(kind: str, text: str):
+    if kind == "bool":
+        if text not in _VIOLATION:
+            raise ValueError(f"violation {text!r} is not 0 or 1")
+        return _VIOLATION[text]
+    return float(text) if kind == "float" else int(text)
+
+
+def read_summary(path) -> list[ScaleRecord]:
+    """The records of a `summary.csv` that write_summary wrote.  An unknown
+    header, a row of the wrong width or a value that does not parse is a
+    ValueError that names the file."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != _SUMMARY_HEADER:
+        raise ValueError(f"{path}: the header is not {_SUMMARY_HEADER!r}")
+    records = []
+    for number, row in enumerate(lines[1:], start=2):
+        cells = row.split(",")
+        if len(cells) != len(_SUMMARY_TYPES):
+            raise ValueError(
+                f"{path}: line {number} has {len(cells)} columns, expected {len(_SUMMARY_TYPES)}"
+            )
+        try:
+            values = [_summary_cell(k, text) for k, text in zip(_SUMMARY_TYPES.values(), cells)]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from exc
+        records.append(ScaleRecord(*values))
+    return records

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import dyadicproj
-from dyadicproj import cli, grid, kernels
+from dyadicproj import grid, kernels, projection
 from dyadicproj.cli import main
 from dyadicproj.grid import DyadicCube, read_pointset
+from dyadicproj.projection import read_summary
 
 
 def run(args):
@@ -222,9 +223,8 @@ class TestMultiscan:
 
     def test_cantor_passes_budget(self, tmp_path):
         assert self._run(tmp_path / "a", 1) == 0
-        summary = (tmp_path / "a" / "summary.csv").read_text().splitlines()
-        assert summary[0].startswith("scale,cells,content")
-        assert len(summary) == 4
+        records = read_summary(tmp_path / "a" / "summary.csv")
+        assert [r.scale for r in records] == [4, 5, 6]
 
     def test_byte_identical_across_workers(self, tmp_path):
         assert self._run(tmp_path / "w1", 1) == 0
@@ -269,13 +269,11 @@ class TestMultiscan:
              "--samples", 5, "--seed", 1, "--level-min", 1, "--level-max", 5,
              "--out", tmp_path]
         ) == 0
-        header, *rows = (tmp_path / "summary.csv").read_text().splitlines()
-        col = {name: i for i, name in enumerate(header.split(","))}
-        assert len(rows) == 5
-        for row in (r.split(",") for r in rows):
-            assert row[col["good"]] == "0"
-            for name in ("bad_fraction", "mean_energy", "energy_bound"):
-                assert float(row[col[name]]) == 0.0
+        records = read_summary(tmp_path / "summary.csv")
+        assert len(records) == 5
+        for r in records:
+            assert r.good == 0
+            assert r.bad_fraction == r.mean_energy == r.energy_bound == 0.0
         assert not list(tmp_path.glob("scale*_scan.txt"))
 
     @pytest.mark.parametrize("argv", [["--eps", 5], ["--m", 7]])
@@ -297,17 +295,15 @@ class TestMultiscan:
             calls.append((level, n_bad, num_samples))
             return level == 5
 
-        monkeypatch.setattr(cli, "_over_budget", gate)
+        monkeypatch.setattr(projection, "_over_budget", gate)
         assert self._run(tmp_path, 1) == 2
         assert "violation" in capsys.readouterr().err
-        header, *rows = (tmp_path / "summary.csv").read_text().splitlines()
-        col = {name: i for i, name in enumerate(header.split(","))}
-        rows = [r.split(",") for r in rows]
-        assert [r[col["violation"]] for r in rows] == ["0", "1", "0"]
+        records = read_summary(tmp_path / "summary.csv")
+        assert [r.violation for r in records] == [False, True, False]
         # the gate sees the bad count behind each scale's bad_fraction
         assert [level for level, _, _ in calls] == [4, 5, 6]
-        for (_, n_bad, num_samples), r in zip(calls, rows):
-            assert num_samples == 40 and n_bad / 40 == float(r[col["bad_fraction"]])
+        for (_, n_bad, num_samples), r in zip(calls, records):
+            assert num_samples == 40 and n_bad / 40 == r.bad_fraction
 
     def test_readme_exit_two_example(self, tmp_path, capsys):
         # README's four-corner Cantor set at s = 0.9, which is not regular there
@@ -318,12 +314,10 @@ class TestMultiscan:
         )
         assert code == 2
         assert "violation" in capsys.readouterr().err
-        header, *rows = (tmp_path / "summary.csv").read_text().splitlines()
-        col = {name: i for i, name in enumerate(header.split(","))}
-        rows = {int(r[0]): r for r in (r.split(",") for r in rows)}
-        assert [rows[j][col["violation"]] for j in range(6, 13)] == list("0010101")
-        assert float(rows[8][col["bad_fraction"]]) == 0.78
-        assert rows[8][col["budget"]] == "0.75785828325519899"
+        rows = {r.scale: r for r in read_summary(tmp_path / "summary.csv")}
+        assert [int(rows[j].violation) for j in range(6, 13)] == [0, 0, 1, 0, 1, 0, 1]
+        assert rows[8].bad_fraction == 0.78
+        assert rows[8].budget == 0.75785828325519899
 
     def test_line_with_tight_budget_violates(self, tmp_path, capsys):
         code = run(
@@ -343,8 +337,35 @@ class TestMultiscan:
              "--slack", slack, "--out", tmp_path]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: --slack must be positive and finite")
+        assert capsys.readouterr().err.startswith("error: slack must be positive and finite")
         assert not list(tmp_path.iterdir())
+
+    def test_negative_samples_is_usage_error(self, tmp_path, capsys):
+        # every net is empty, so no direction_scan call is left to refuse it
+        code = run(
+            ["multiscan", "--gen", "point:n=2,level=5", "--s", 1.0, "--eps", 0.1,
+             "--samples", -1, "--seed", 1, "--level-min", 1, "--level-max", 5,
+             "--out", tmp_path]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: num_samples must be >= 0\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("existing", ["scale8_scan.txt", "summary.csv"])
+    def test_existing_output_refused_before_any_scale(self, tmp_path, capsys, existing):
+        # each scale's files were checked only when that scale was reached,
+        # and summary.csv only at the end, so earlier scales were written
+        (tmp_path / existing).write_text("kept\n")
+        code = run(
+            ["multiscan", "--gen", CANTOR4, "--s", 1.0, "--eps", 0.1, "--samples", 5,
+             "--seed", 1, "--level-min", 4, "--level-max", 8, "--out", tmp_path]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / existing} exists; pass --force to overwrite\n"
+        )
+        assert [f.name for f in tmp_path.iterdir()] == [existing]
+        assert (tmp_path / existing).read_text() == "kept\n"
 
     def test_empty_level_range_is_usage_error(self, tmp_path, capsys):
         code = run(

@@ -31,3 +31,12 @@ def test_package_imports_only_exported_names():
         module = importlib.import_module(f"dyadicproj.{node.module}")
         unlisted = [a.name for a in node.names if a.name not in module.__all__]
         assert unlisted == [], node.module
+
+
+def test_cli_imports_no_private_name():
+    # the command line reaches the library through its exported names
+    tree = ast.parse((PACKAGE.parent / "cli.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1]
+    assert imports
+    private = [(node.module, a.name) for node in imports for a in node.names if a.name.startswith("_")]
+    assert private == []

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,10 @@ from dyadicproj.fractals import (
     gen_random_tree_set,
 )
 from dyadicproj import kernels, projection
-from dyadicproj.grid import GridPointSet
+from dyadicproj.grid import GridPointSet, coarsen
 from dyadicproj.projection import (
     Plane,
+    ScaleRecord,
     _derived_seed,
     _over_budget,
     _subset_size,
@@ -24,10 +26,13 @@ from dyadicproj.projection import (
     direction_scan,
     haar_sample,
     min_projection_cover,
+    multiscale_scan,
     project_points,
+    read_summary,
     riesz_sum,
     summary_line,
     write_scan_report,
+    write_summary,
 )
 
 from conftest import (
@@ -502,6 +507,12 @@ class TestDirectionScan:
         with pytest.raises(ValueError, match=match):
             direction_scan(P, s=s, eps=eps, num_samples=samples, master_seed=1, m=m)
 
+    def test_n_bad_counts_the_bad_records(self):
+        P = gen_cantor_product(CANTOR2, 4)
+        rep = direction_scan(P, s=1.0, eps=0.05, num_samples=50, master_seed=3)
+        assert rep.n_bad == sum(r.label == "bad" for r in rep.per_direction) > 0
+        assert rep.bad_fraction == rep.n_bad / 50
+
     def test_reports_compare_by_value(self):
         P = gen_cantor_product(CANTOR2, 3)
         a = direction_scan(P, s=1.0, eps=0.1, num_samples=12, master_seed=9, workers=1)
@@ -708,6 +719,128 @@ class TestDirectionScan:
         text = (tmp_path / "scan.txt").read_text()
         assert text.endswith(summary_line(rep) + "\n")
         assert text.count("direction ") == 5
+
+
+class TestMultiscaleScan:
+    @pytest.mark.parametrize("cantor", [True, False])
+    def test_yields_each_scale_in_order(self, cantor):
+        # at s = 1 the cluster's level-3 cube is heavy at every scale, so
+        # no net of it is scanned, and every net of the Cantor set is
+        if cantor:
+            P = gen_cantor_product(CANTOR2, 3)
+        else:
+            P = gen_degenerate("cluster", n=2, level=6, cube_level=3)
+        scales = list(multiscale_scan(P, 1.0, 0.1, 8, 5, 1, 6, slack=0.5))
+        assert [record.scale for record, *_ in scales] == [1, 2, 3, 4, 5, 6]
+        assert [report is not None for *_, report in scales] == [cantor] * 6
+        for record, Pj, dec, cover, report in scales:
+            j = record.scale
+            assert Pj == coarsen(P, j)
+            assert (record.cells, record.good, record.bad) == (len(Pj), len(dec.good), len(dec.bad))
+            assert record.content == cover.value
+            if report is None:
+                assert len(dec.net) == 0 and record.budget == (2.0**-j) ** 0.1
+                assert record.bad_fraction == record.mean_energy == record.energy_bound == 0.0
+                n_bad = 0
+            else:
+                assert report == direction_scan(dec.net, 1.0, 0.1, 8, _derived_seed(5, j)[1])
+                assert (record.bad_fraction, record.budget, record.mean_energy,
+                        record.energy_bound) == (report.bad_fraction, report.budget,
+                                                 report.mean_energy, report.energy_bound)
+                n_bad = report.n_bad
+            assert record.violation == _over_budget(n_bad, 8, j, 0.1, 0.5)
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [({"level_min": 5, "level_max": 4}, r"level range \[5, 4\] invalid for input at level 6"),
+         ({"level_max": 7}, "level range"), ({"level_min": -1}, "level range"),
+         ({"slack": math.nan}, "slack"), ({"slack": math.inf}, "slack"),
+         ({"slack": 0.0}, "slack"), ({"num_samples": -1}, "num_samples"),
+         ({"eps": 1.0}, "eps"), ({"m": 2}, "m=2"), ({"s": 3.0}, "exponent")],
+    )
+    def test_parameters_checked_before_any_scale(self, monkeypatch, change, match):
+        monkeypatch.setattr(projection, "coarsen", lambda P, j: pytest.fail("a scale was built"))
+        args = {"P": gen_cantor_product(CANTOR2, 3), "s": 1.0, "eps": 0.1, "num_samples": 4,
+                "master_seed": 1, "level_min": 2, "level_max": 6}
+        with pytest.raises(ValueError, match=match):
+            multiscale_scan(**{**args, **change})
+
+
+# IEEE-754 values that a decimal writer may get wrong: signed zeros, the
+# smallest and largest subnormals, the smallest normal, the largest finite
+# float and the infinities
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                  1e300, math.inf, -math.inf]
+
+
+def random_scale_records(rng, count: int) -> list[ScaleRecord]:
+    """Records whose floats are special values or random bit patterns
+    (NaN excluded: it does not compare equal to itself) and whose integers
+    span int64."""
+    kinds = [f.type for f in dataclasses.fields(ScaleRecord)]
+    records = []
+    for _ in range(count):
+        values = []
+        for kind in kinds:
+            if kind == "float":
+                value = math.nan
+                while math.isnan(value):
+                    if rng.random() < 0.3:
+                        value = SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))]
+                    else:
+                        value = float(rng.integers(0, 2**64, dtype=np.uint64).view(np.float64))
+                values.append(value)
+            elif kind == "int":
+                values.append(int(rng.integers(-(2**63), 2**63 - 1)))
+            else:
+                values.append(bool(rng.integers(2)))
+        records.append(ScaleRecord(*values))
+    return records
+
+
+class TestSummary:
+    def test_round_trip(self, tmp_path):
+        records = random_scale_records(np.random.default_rng(20260), 300)
+        assert {r.violation for r in records} == {False, True}
+        names = [f.name for f in dataclasses.fields(ScaleRecord) if f.type == "float"]
+        base = ScaleRecord(3, 8, 1.0, 1.0, 4, 4, 0.5, 0.5, 2.0, 3.0, False)
+        records += [dataclasses.replace(base, **{name: v}) for name in names for v in SPECIAL_FLOATS]
+        path = tmp_path / "summary.csv"
+        write_summary(records, path)
+        got = read_summary(path)
+        # repr tells -0.0 from 0.0 and True from 1
+        assert [repr(dataclasses.astuple(r)) for r in got] == [
+            repr(dataclasses.astuple(r)) for r in records
+        ]
+        text = path.read_bytes()
+        write_summary(got, path)
+        assert path.read_bytes() == text
+
+    def test_format(self, tmp_path):
+        record = ScaleRecord(6, 374, 0.1, 1.875, 102, 272, 0.0, 0.5, 134.5, 7.0, True)
+        write_summary([record], tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_text() == (
+            "scale,cells,content,spread_constant,good,bad,bad_fraction,budget,"
+            "mean_energy,energy_bound,violation\n"
+            "6,374,0.10000000000000001,1.875,102,272,0,0.5,134.5,7,1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [(lambda lines: ["scale,cells,kontent" + lines[0][18:], *lines[1:]], "header"),
+         (lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0]], "line 2 has 10 columns"),
+         (lambda lines: lines + [lines[1] + ",0"], "line 3 has 12 columns"),
+         (lambda lines: lines[:1] + [lines[1][:-1] + "2"], "violation '2'"),
+         (lambda lines: lines[:1] + [lines[1].replace("374", "3.5", 1)], "line 2"),
+         (lambda lines: [], "header")],
+    )
+    def test_reader_refuses_what_the_writer_does_not_write(self, tmp_path, edit, match):
+        path = tmp_path / "summary.csv"
+        write_summary([ScaleRecord(6, 374, 0.1, 1.875, 102, 272, 0.0, 0.5, 134.5, 7.0, True)], path)
+        path.write_text("".join(f"{line}\n" for line in edit(path.read_text().splitlines())))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + match):
+            read_summary(path)
 
 
 class TestCoincidenceProbability:
