@@ -3,11 +3,12 @@
 Subcommands mirror the pipeline stages: generate, content, spread,
 decompose, frostman, scan, multiscan.  Each parses its options, calls the
 library and writes files; multiscan's per-scale loop and its budget gate
-are `projection.multiscale_scan`.  All randomized commands require an
-explicit --seed; reports are only overwritten with --force, and every
-output path is checked before any is written.  Exit codes: 0 success, 1
-usage or input error (any ValueError, reported as `error: ...`), 2 budget
-violation (multiscan).
+are `projection.multiscale_scan`.  The heavy-cube rule depends on tau and
+L only through tau*L, so decompose and multiscan set L (--big-l) and keep
+tau = 4^-dim.  All randomized commands require an explicit --seed; reports
+are only overwritten with --force, and every output path is checked before
+any is written.  Exit codes: 0 success, 1 usage or input error (any
+ValueError, reported as `error: ...`), 2 budget violation (multiscan).
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ def _out_file(out_dir: Path, name: str, force: bool) -> Path:
 
 
 _GEN_HELP = "generator spec, e.g. cantor:keep=0|3,dims=2,iters=5"
+_BIG_L_HELP = "heavy-cube factor L (default 2*4^dim)"
 
 
 def _add_common(p: _Parser, *, gen: bool = True):
@@ -88,7 +90,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("content", help="minimal dyadic cover and its value")
     _add_common(p)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--j-min", type=int, default=0, help="coarsest allowed cube level")
 
     p = sub.add_parser("spread", help="least regularity constant of the set")
     _add_common(p)
@@ -97,8 +98,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="heavy-cube good/bad decomposition")
     _add_common(p)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--big-l", type=float, default=None, help="default max(1, 2/tau)")
-    p.add_argument("--tau", type=float, default=None, help="default 4^-dim")
+    p.add_argument("--big-l", type=float, default=None, help=_BIG_L_HELP)
 
     p = sub.add_parser("frostman", help="extract a regular witness subset")
     _add_common(p)
@@ -119,11 +119,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--level-min", type=int, required=True)
     p.add_argument("--level-max", type=int, required=True)
-    p.add_argument("--big-l", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--big-l", type=float, default=None, help=_BIG_L_HELP)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--slack", type=float, default=1.0, help="budget slack factor")
     return parser
 
 
@@ -144,7 +142,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_content(args) -> int:
     P = _load_points(args.input, args.gen, args.seed)
-    cover = optimal_cover(P, args.s, j_min=args.j_min)
+    cover = optimal_cover(P, args.s)
     write_cover(cover, _out_file(Path(args.out), "cover.txt", args.force))
     print(f"value {cover.value:.17g}")
     return 0
@@ -158,7 +156,7 @@ def _cmd_spread(args) -> int:
 
 def _cmd_decompose(args) -> int:
     P = _load_points(args.input, args.gen, args.seed)
-    dec = heavy_decompose(P, args.s, None, args.big_l, args.tau)
+    dec = heavy_decompose(P, args.s, None, args.big_l)
     out = Path(args.out)
     for name in ("good.txt", "bad.txt", "heavy.txt"):
         _out_file(out, name, args.force)
@@ -205,7 +203,7 @@ def _cmd_multiscan(args) -> int:
     P = _load_points(args.input, args.gen, seed)
     scales = multiscale_scan(
         P, args.s, args.eps, args.samples, seed, args.level_min, args.level_max,
-        args.m, args.workers, args.slack, args.big_l, args.tau,
+        args.m, args.workers, args.big_l,
     )
     out = Path(args.out)
     for j in range(args.level_min, args.level_max + 1):

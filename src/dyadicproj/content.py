@@ -91,8 +91,8 @@ class DyadicCover:
         return tuple(DyadicCube(r[0], tuple(r[1:])) for r in self.rows.tolist())
 
 
-def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
-    """Minimize sum(side^s) over disjoint dyadic covers with levels in [j_min, P.level].
+def optimal_cover(P: GridPointSet, s: float) -> DyadicCover:
+    """Minimize sum(side^s) over disjoint dyadic covers with levels in [0, P.level].
 
     Bottom-up recursion: cost(Q) = min(side(Q)^s, sum over occupied children),
     ties resolved toward the coarser cube, so minimizers cannot be coarsened
@@ -104,8 +104,6 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
     if len(P) == 0:
         raise ValueError("cannot cover an empty point set")
     _validate_exponent(P, s)
-    if not 0 <= j_min <= P.level:
-        raise ValueError(f"j_min={j_min} outside [0, {P.level}]")
     tree = build_cover_tree(P)
     ctx = ExponentContext.create(s)
     L = P.level
@@ -116,7 +114,7 @@ def optimal_cover(P: GridPointSet, s: float, j_min: int = 0) -> DyadicCover:
     for j in range(L - 1, -1, -1):
         # column 0 counts cover cubes at level j itself, none yet
         rows = np.pad(tree.child_sums(j, rows), ((0, 0), (1, 0)))
-        take[j] = ctx.compare_rows(rows, j) >= 0 if j >= j_min else np.zeros(len(rows), bool)
+        take[j] = ctx.compare_rows(rows, j) >= 0
         rows[take[j]] = 0
         rows[take[j], 0] = 1
 

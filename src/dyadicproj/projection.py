@@ -10,9 +10,10 @@ projection of P, ordered once: the energy and its label, and the fewest
 bins holding kappa points.  `direction_scan` Monte-Carlos it over
 Haar-random planes and compares the bad fraction with the delta^eps budget.
 `multiscale_scan` is the scale-by-scale step: at each delta_j = 2^-j it
-prunes heavy cubes, scans the net of the good part, and gates the bad
-fraction against delta_j^eps.  Its per-scale `ScaleRecord`s are the rows of
-`summary.csv`, which `write_summary` writes and `read_summary` reads back.
+prunes heavy cubes, scans the net of the good part, and flags the scale
+when the bad fraction exceeds delta_j^eps, with no other factor.  Its
+per-scale `ScaleRecord`s are the rows of `summary.csv`, which
+`write_summary` writes and `read_summary` reads back.
 When s and eps snap to small-denominator rationals, kappa, the label and
 the budget gate are decided in exact arithmetic (see _exact).
 """
@@ -304,17 +305,16 @@ def _subset_size(level: int, s: float, eps: float, cap: int) -> int:
     return _ceil_pow2(e, level, cap) if e > 0 else 1
 
 
-def _over_budget(n_bad: int, num_samples: int, level: int, eps: float, slack: float) -> bool:
-    """Whether the bad fraction exceeds budget * slack, budget = delta^eps at
-    delta = 2^-level.  Exact when eps snaps and slack is a positive float
-    (read as the rational it is), so a fraction equal to its budget passes;
-    otherwise the float rule."""
+def _over_budget(n_bad: int, num_samples: int, level: int, eps: float) -> bool:
+    """Whether the bad fraction exceeds the budget delta^eps at delta =
+    2^-level.  Exact when eps snaps, so a fraction equal to its budget
+    passes; otherwise the float rule."""
     frac = snap_exponent(eps)
-    if frac is None or not 0.0 < slack < math.inf:
+    if frac is None:
         fraction = n_bad / num_samples if num_samples else 0.0
-        return fraction > (2.0**-level) ** eps * slack
+        return fraction > (2.0**-level) ** eps
     fraction = Fraction(n_bad, num_samples) if num_samples else Fraction(0)
-    return _cmp_pow2(fraction / Fraction(slack), -level, frac) > 0
+    return _cmp_pow2(fraction, -level, frac) > 0
 
 
 def direction_scan(
@@ -336,11 +336,13 @@ def direction_scan(
     classified, with one QR call per _DRAW_BLOCK of them, and each is the
     plane haar_sample draws from its stream.  The mean sampled energy is
     reported next to its geometric ceiling 2^n * (delta^m * riesz + |P|).
-    s, eps and m are checked before any direction is drawn, so a scan of no
-    directions refuses what a scan of many would.
+    num_samples, workers, s, eps and m are checked before any direction is
+    drawn, so a scan of no directions refuses what a scan of many would.
     """
     if num_samples < 0:
         raise ValueError("num_samples must be >= 0")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_scan(P, s, eps, m)
     delta = P.delta
     n_pts = len(P)
@@ -426,39 +428,38 @@ def multiscale_scan(
     level_max: int,
     m: int = 1,
     workers: int = 1,
-    slack: float = 1.0,
     big_l: float | None = None,
-    tau: float | None = None,
 ) -> Iterator[tuple[ScaleRecord, GridPointSet, Decomposition, DyadicCover, ScanReport | None]]:
     """Scan P at every level j from level_min to level_max and gate each
     scale on its eps-budget.
 
     At scale j the input is coarsened to level j and its heavy cubes are
-    pruned (heavy_decompose with its default C = |P_j| * 2^(-j*s), L = big_l
-    and tau = tau); the net of the good part is scanned with master seed
-    derived from (master_seed, j).  A scale violates when its bad fraction
-    exceeds budget * slack, decided exactly when eps snaps.
+    pruned (heavy_decompose with L = big_l and its defaults
+    C = |P_j| * 2^(-j*s) and tau = 4^-dim); the net of the good part is scanned with
+    master seed derived from (master_seed, j).  A scale violates when its
+    bad fraction exceeds its budget delta_j^eps, decided exactly when eps
+    snaps.
 
     Returns a generator of (record, P_j, decomposition, cover, report) in
     order of j, where cover is P_j's optimal cover at s and report is None
     where the net is empty.  It keeps no reference to a scale it has
     yielded, so the caller decides when each scale's sets are freed.  The
-    level range, slack, num_samples, s, eps and m are checked when this is
-    called, before any scale is computed.
+    level range, num_samples, workers, s, eps and m are checked when this
+    is called, before any scale is computed.
     """
-    if not (math.isfinite(slack) and slack > 0):
-        raise ValueError(f"slack must be positive and finite, got {slack}")
     if not 0 <= level_min <= level_max <= P.level:
         raise ValueError(
             f"level range [{level_min}, {level_max}] invalid for input at level {P.level}"
         )
     if num_samples < 0:
         raise ValueError("num_samples must be >= 0")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_scan(P, s, eps, m)  # a scale whose net is empty scans nothing
 
     def scale(j):
         Pj = coarsen(P, j)
-        dec = heavy_decompose(Pj, s, None, big_l, tau)
+        dec = heavy_decompose(Pj, s, None, big_l)
         cover = optimal_cover(Pj, s)
         if len(dec.net):
             seed = _derived_seed(master_seed, j)[1]
@@ -476,7 +477,7 @@ def multiscale_scan(
             len(dec.good),
             len(dec.bad),
             *scan,
-            _over_budget(n_bad, num_samples, j, eps, slack),
+            _over_budget(n_bad, num_samples, j, eps),
         )
         return record, Pj, dec, cover, report
 

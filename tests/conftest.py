@@ -53,9 +53,9 @@ def impls(tmp_path_factory):
     return {"python": _core_py, "compiled": build_kernels(ROOT, tmp_path_factory.mktemp("ckernels"))}
 
 
-def all_dyadic_covers(P: GridPointSet, j_min: int = 0):
+def all_dyadic_covers(P: GridPointSet):
     """Yield every disjoint dyadic antichain cover of P as a list of
-    (level, coords) pairs, levels restricted to [j_min, P.level]."""
+    (level, coords) pairs."""
     by_parent: dict[tuple[int, tuple[int, ...]], list] = {}
     nodes = set()
     for cell in map(tuple, P.cells.tolist()):
@@ -75,9 +75,7 @@ def all_dyadic_covers(P: GridPointSet, j_min: int = 0):
 
     def covers(node):
         level, _ = node
-        options = []
-        if level >= j_min:
-            options.append([node])
+        options = [[node]]
         if level < P.level:
             kids = by_parent.get(node, [])
             for combo in itertools.product(*(covers(k) for k in kids)):
@@ -88,11 +86,11 @@ def all_dyadic_covers(P: GridPointSet, j_min: int = 0):
     yield from covers(root)
 
 
-def min_cover_value_oracle(P: GridPointSet, s: float, j_min: int = 0):
+def min_cover_value_oracle(P: GridPointSet, s: float):
     """Exhaustive minimum of sum(side^s): returns (float value, level dict)."""
     ctx = ExponentContext.create(s)
     best = None
-    for cover in all_dyadic_covers(P, j_min):
+    for cover in all_dyadic_covers(P):
         terms: dict[int, int] = {}
         for level, _ in cover:
             terms[level] = terms.get(level, 0) + 1

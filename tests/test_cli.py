@@ -1,5 +1,7 @@
+import argparse
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +10,12 @@ import numpy as np
 import pytest
 
 import dyadicproj
-from dyadicproj import grid, kernels, projection
+from dyadicproj import cli, grid, kernels, projection
 from dyadicproj.cli import main
 from dyadicproj.grid import DyadicCube, read_pointset
 from dyadicproj.projection import read_summary
+
+from conftest import ROOT
 
 
 def run(args):
@@ -89,7 +93,7 @@ class TestNoCubeObjects:
         monkeypatch.setattr(DyadicCube, "__post_init__", lambda c: built.append(c) or check(c))
         gen = ["--gen", "random:n=2,s=1.5,level=7", "--seed", 3, "--s", 1.5]
         assert run(["content", *gen, "--out", tmp_path / "c"]) == 0
-        assert run(["decompose", *gen, "--tau", 0.05, "--big-l", 2, "--out", tmp_path / "d"]) == 0
+        assert run(["decompose", *gen, "--big-l", 1.6, "--out", tmp_path / "d"]) == 0
         assert run(
             ["multiscan", *gen, "--eps", 0.1, "--samples", 5, "--level-min", 3,
              "--level-max", 7, "--out", tmp_path / "m"]
@@ -103,7 +107,7 @@ class TestDecompose:
     def test_cluster(self, tmp_path, capsys):
         assert run(
             ["decompose", "--gen", "cluster:n=1,level=10,cube_level=5",
-             "--s", 1.0, "--big-l", 4.0, "--tau", 0.25, "--out", tmp_path]
+             "--s", 1.0, "--big-l", 4.0, "--out", tmp_path]
         ) == 0
         out = capsys.readouterr().out
         assert "good 0 bad 32" in out
@@ -203,10 +207,12 @@ class TestScan:
             (["--samples", 0, "--m", 5], "need 0 < m < n, got m=5 n=2"),
             (["--samples", 0, "--s", 1.0, "--eps", 2.0], "need 0 < eps < s"),
             (["--samples", 3, "--s", 5.0, "--eps", 0.1], "exponent s=5.0 outside (0, 2]"),
+            (["--samples", 3, "--workers", 0], "workers must be >= 1, got 0"),
         ],
     )
     def test_parameters_checked_before_sampling(self, tmp_path, capsys, argv, message):
-        # each exited 0 with a report; multiscan already refused the same s
+        # each exited 0 with a report (workers 0 ran serially); multiscan
+        # already refused the same s
         base = ["scan", "--gen", CANTOR2, "--seed", 4, "--s", 1.0, "--eps", 0.1]
         assert run(base + argv + ["--out", tmp_path]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -291,7 +297,7 @@ class TestMultiscan:
     def test_one_gate_decides_exit_code_and_summary(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def gate(n_bad, num_samples, level, eps, slack):
+        def gate(n_bad, num_samples, level, eps):
             calls.append((level, n_bad, num_samples))
             return level == 5
 
@@ -319,27 +325,6 @@ class TestMultiscan:
         assert rows[8].bad_fraction == 0.78
         assert rows[8].budget == 0.75785828325519899
 
-    def test_line_with_tight_budget_violates(self, tmp_path, capsys):
-        code = run(
-            ["multiscan", "--gen", "line:n=2,level=6", "--s", 1.0, "--eps", 0.1,
-             "--samples", 100, "--seed", 5, "--level-min", 6, "--level-max", 6,
-             "--slack", 0.01, "--out", tmp_path]
-        )
-        assert code == 2
-        assert "violation" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("slack", ["nan", "inf", "0", "-1"])
-    def test_slack_not_positive_and_finite_is_usage_error(self, tmp_path, capsys, slack):
-        # a NaN slack would switch the gate off, a negative one trip it everywhere
-        code = run(
-            ["multiscan", "--gen", "line:n=2,level=6", "--s", 1.0, "--eps", 0.1,
-             "--samples", 100, "--seed", 5, "--level-min", 6, "--level-max", 6,
-             "--slack", slack, "--out", tmp_path]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: slack must be positive and finite")
-        assert not list(tmp_path.iterdir())
-
     def test_negative_samples_is_usage_error(self, tmp_path, capsys):
         # every net is empty, so no direction_scan call is left to refuse it
         code = run(
@@ -349,6 +334,16 @@ class TestMultiscan:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: num_samples must be >= 0\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys):
+        # it ran serially and wrote every scale
+        code = run(
+            ["multiscan", "--gen", CANTOR2, "--s", 1.0, "--eps", 0.1, "--samples", 4,
+             "--seed", 1, "--level-min", 4, "--level-max", 6, "--workers", -1, "--out", tmp_path]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1, got -1\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("existing", ["scale8_scan.txt", "summary.csv"])
@@ -388,7 +383,6 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["decompose", "--s", 1.0, "--tau", 0],
             ["decompose", "--s", 1.0, "--big-l", 0.5],
             ["content", "--s", 5],
             ["scan", "--seed", 1, "--s", 1.0, "--eps", 5, "--samples", 4],
@@ -402,6 +396,19 @@ class TestUsage:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["scan", "--nope"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["multiscan", "--slack", 1], ["multiscan", "--tau", 0.1], ["decompose", "--tau", 0.1],
+         ["content", "--j-min", 0]],
+    )
+    def test_removed_option_is_unrecognized(self, tmp_path, capsys, argv):
+        rest = ["--gen", CANTOR2, "--s", 1.0, "--out", tmp_path]
+        if argv[0] == "multiscan":
+            rest += ["--eps", 0.1, "--samples", 5, "--seed", 1, "--level-min", 4, "--level-max", 6]
+        assert run(argv + rest) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {argv[1]} {argv[2]}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_missing_input_and_gen(self, tmp_path, capsys):
         assert run(["content", "--s", 1.0, "--out", tmp_path]) == 1
@@ -437,3 +444,30 @@ class TestUsage:
             )
             assert warned == 1, done.stderr
         assert "RuntimeWarning" not in stderr
+
+
+def readme_cli_section() -> str:
+    return (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadme:
+    def test_cli_examples_run(self, tmp_path, capsys):
+        # the last sh block; the one before it is the exit-2 example, which
+        # test_readme_exit_two_example runs
+        block = re.findall(r"```sh\n(.*?)```", readme_cli_section(), re.S)[-1]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("dyadicproj ")]
+        assert len(lines) == 7
+        for line in lines:
+            argv = [a.replace("run/", f"{tmp_path}/") for a in shlex.split(line)[1:]]
+            assert main(argv) == 0, line
+            out = capsys.readouterr().out
+            if argv[0] == "decompose":  # the split its comment quotes
+                assert out.startswith("good 246 bad 845 heavy_cubes 73 "), out
+
+    def test_cli_section_names_every_option(self):
+        (sub,) = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme_cli_section()))
+        assert named == options - {"-h", "--help"}

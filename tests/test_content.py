@@ -127,13 +127,6 @@ class TestOptimalCover:
         assert [(c.level, c.coords) for c in cover.cubes] == [(0, (0, 0, 0))]
         assert sorted(calls) == [(((j + 2, 8),), ((j, 1),)) for j in (0, 2, 4)]
 
-    def test_j_min_restricts_levels(self, rng):
-        P = random_subset(rng, 1, 4)
-        cover = optimal_cover(P, 0.5, j_min=3)
-        assert all(c.level >= 3 for c in cover.cubes)
-        want, _ = min_cover_value_oracle(P, 0.5, j_min=3)
-        assert cover.value == want
-
     def test_feasible_cover_bounds(self, rng):
         for _ in range(10):
             P = random_subset(rng, 1, 5)

@@ -507,6 +507,14 @@ class TestDirectionScan:
         with pytest.raises(ValueError, match=match):
             direction_scan(P, s=s, eps=eps, num_samples=samples, master_seed=1, m=m)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_refused(self, workers):
+        # each ran serially; a scan of no directions refuses it too
+        P = gen_cantor_product(CANTOR2, 2)
+        for samples in (0, 4):
+            with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+                direction_scan(P, num_samples=samples, master_seed=1, workers=workers)
+
     def test_n_bad_counts_the_bad_records(self):
         P = gen_cantor_product(CANTOR2, 4)
         rep = direction_scan(P, s=1.0, eps=0.05, num_samples=50, master_seed=3)
@@ -609,30 +617,22 @@ class TestDirectionScan:
         # budget 2^(-10 * 0.2) is exactly 1/4; the float rule computes
         # 0.24999999999999997, under which 50 bad of 200 would violate
         assert 50 / 200 > (2.0**-10) ** 0.2
-        assert not _over_budget(50, 200, 10, 0.2, 1.0)
-        assert _over_budget(51, 200, 10, 0.2, 1.0)
-        # slack is read as the rational it is: 1/4 * 1/2 of 200 is 25
-        assert not _over_budget(25, 200, 10, 0.2, 0.5)
-        assert _over_budget(26, 200, 10, 0.2, 0.5)
+        assert not _over_budget(50, 200, 10, 0.2)
+        assert _over_budget(51, 200, 10, 0.2)
         # no samples, no bad directions: no violation
-        assert not _over_budget(0, 0, 10, 0.2, 1.0)
+        assert not _over_budget(0, 0, 10, 0.2)
 
     def test_budget_gate_matches_fraction_oracle(self):
-        # violation iff n_bad^q * 2^(j*p) > (num_samples * slack)^q, p/q = eps
-        for eps, slack, j in itertools.product(
-            ("0.05", "0.1", "0.2", "0.25"), (0.5, 1.0, 1.5), range(0, 21, 2)
-        ):
+        # violation iff n_bad^q * 2^(j*p) > num_samples^q, p/q = eps
+        for eps, j in itertools.product(("0.05", "0.1", "0.2", "0.25"), range(0, 21, 2)):
             frac = Fraction(eps)
             p, q = frac.numerator, frac.denominator
             for n_bad in range(41):
-                want = n_bad**q * 2 ** (j * p) > (40 * Fraction(slack)) ** q
-                assert _over_budget(n_bad, 40, j, float(eps), slack) == want, (eps, slack, j)
-        # an unsnapped eps, or a slack that is not a positive float, keeps
-        # the float rule
+                want = n_bad**q * 2 ** (j * p) > 40**q
+                assert _over_budget(n_bad, 40, j, float(eps)) == want, (eps, j)
+        # an unsnapped eps keeps the float rule
         eps = 0.6180339887
-        assert _over_budget(10, 40, 3, eps, 1.0) == (10 / 40 > (2.0**-3) ** eps)
-        assert _over_budget(0, 40, 3, 0.1, -1.0)
-        assert not _over_budget(40, 40, 3, 0.1, math.inf)
+        assert _over_budget(10, 40, 3, eps) == (10 / 40 > (2.0**-3) ** eps)
 
     def test_one_projection_per_direction(self, monkeypatch):
         # each direction projects P once, sorts the projection once and
@@ -730,7 +730,7 @@ class TestMultiscaleScan:
             P = gen_cantor_product(CANTOR2, 3)
         else:
             P = gen_degenerate("cluster", n=2, level=6, cube_level=3)
-        scales = list(multiscale_scan(P, 1.0, 0.1, 8, 5, 1, 6, slack=0.5))
+        scales = list(multiscale_scan(P, 1.0, 0.1, 8, 5, 1, 6))
         assert [record.scale for record, *_ in scales] == [1, 2, 3, 4, 5, 6]
         assert [report is not None for *_, report in scales] == [cantor] * 6
         for record, Pj, dec, cover, report in scales:
@@ -748,14 +748,14 @@ class TestMultiscaleScan:
                         record.energy_bound) == (report.bad_fraction, report.budget,
                                                  report.mean_energy, report.energy_bound)
                 n_bad = report.n_bad
-            assert record.violation == _over_budget(n_bad, 8, j, 0.1, 0.5)
+            assert record.violation == _over_budget(n_bad, 8, j, 0.1)
 
     @pytest.mark.parametrize(
         "change,match",
         [({"level_min": 5, "level_max": 4}, r"level range \[5, 4\] invalid for input at level 6"),
          ({"level_max": 7}, "level range"), ({"level_min": -1}, "level range"),
-         ({"slack": math.nan}, "slack"), ({"slack": math.inf}, "slack"),
-         ({"slack": 0.0}, "slack"), ({"num_samples": -1}, "num_samples"),
+         ({"workers": 0}, "workers"), ({"workers": -1}, "workers"),
+         ({"workers": 0, "num_samples": 0}, "workers"), ({"num_samples": -1}, "num_samples"),
          ({"eps": 1.0}, "eps"), ({"m": 2}, "m=2"), ({"s": 3.0}, "exponent")],
     )
     def test_parameters_checked_before_any_scale(self, monkeypatch, change, match):
