@@ -34,7 +34,7 @@ from . import kernels
 from ._exact import _ceil_pow2, _cmp_pow2, snap_exponent
 from .content import DyadicCover, optimal_cover
 from .grid import GridPointSet, _eq_by_value, _validate_exponent, build_cover_tree, coarsen
-from .regularity import Decomposition, heavy_decompose, minimal_spread_constant
+from .regularity import Decomposition, _check_big_l, heavy_decompose, minimal_spread_constant
 
 __all__ = [
     "Plane",
@@ -284,6 +284,12 @@ class ScanReport:
 
 
 _DRAW_BLOCK = 1024  # Haar planes per QR call of a scan
+# Cells from which a scan's Riesz sum runs beside its directions.  Below
+# it, measured on multiscan's nets (36 to 2,976 cells), the thread cost
+# more CPU time than it overlapped.  Only the compiled sum overlaps: it
+# holds no GIL, while the numpy fallback's row loop takes the GIL between
+# its numpy calls, and overlapped it made the fallback's scan slower.
+_OVERLAP_MIN_CELLS = 4096
 
 
 def _derived_seed(master_seed: int, index: int) -> tuple[np.random.SeedSequence, int]:
@@ -336,8 +342,12 @@ def direction_scan(
     classified, with one QR call per _DRAW_BLOCK of them, and each is the
     plane haar_sample draws from its stream.  The mean sampled energy is
     reported next to its geometric ceiling 2^n * (delta^m * riesz + |P|).
-    num_samples, workers, s, eps and m are checked before any direction is
-    drawn, so a scan of no directions refuses what a scan of many would.
+    The ceiling depends on no direction: on the compiled backend, for a set
+    of at least 4,096 cells (_OVERLAP_MIN_CELLS), its Riesz sum runs on one
+    thread of its own while the directions are classified, whatever workers
+    is, and returns the same float as run after them.  num_samples,
+    workers, s, eps and m are checked before any direction is drawn, so a
+    scan of no directions refuses what a scan of many would.
     """
     if num_samples < 0:
         raise ValueError("num_samples must be >= 0")
@@ -348,32 +358,39 @@ def direction_scan(
     n_pts = len(P)
     kappa = _subset_size(P.level, s, eps, n_pts)
 
-    # at most _DRAW_BLOCK generators are alive at once
-    seeds, planes = [], []
-    for start in range(0, num_samples, _DRAW_BLOCK):
-        block = range(start, min(num_samples, start + _DRAW_BLOCK))
-        streams = [_derived_seed(master_seed, i) for i in block]
-        seeds += [seed for _, seed in streams]
-        planes += _haar_planes(P.dim, m, [np.random.default_rng(ss) for ss, _ in streams])
-
     def one(index: int) -> DirectionRecord:
         V = planes[index]
         record = classify_direction(P, V, s, eps, kappa)
         return DirectionRecord(index, seeds[index], V.frame, *record)
 
-    if workers <= 1:
-        records = [one(i) for i in range(num_samples)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(num_samples)))
+    overlap = n_pts >= _OVERLAP_MIN_CELLS and kernels.backend_name() == "compiled"
+    P.centers()  # computed here, not by two threads at once
+    with ThreadPoolExecutor(max_workers=1) as side:
+        ceiling = side.submit(riesz_sum, P, m) if overlap else None
+
+        # at most _DRAW_BLOCK generators are alive at once
+        seeds, planes = [], []
+        for start in range(0, num_samples, _DRAW_BLOCK):
+            block = range(start, min(num_samples, start + _DRAW_BLOCK))
+            streams = [_derived_seed(master_seed, i) for i in block]
+            seeds += [seed for _, seed in streams]
+            planes += _haar_planes(P.dim, m, [np.random.default_rng(ss) for ss, _ in streams])
+
+        if workers <= 1:
+            records = [one(i) for i in range(num_samples)]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(one, range(num_samples)))
+
+        if ceiling is not None:
+            riesz = ceiling.result().value
+        else:
+            riesz = riesz_sum(P, m).value if n_pts >= 2 else 0.0  # no pairs, empty sum
 
     n_bad = sum(1 for r in records if r.label == "bad")
     bad_fraction = n_bad / num_samples if num_samples else 0.0
     mean_energy = sum(r.energy for r in records) / num_samples if num_samples else 0.0
-    if n_pts >= 2:
-        energy_bound = 2.0**P.dim * (delta**m * riesz_sum(P, m).value + n_pts)
-    else:
-        energy_bound = 2.0**P.dim * n_pts
+    energy_bound = 2.0**P.dim * (delta**m * riesz + n_pts)
     return ScanReport(
         n=P.dim,
         m=m,
@@ -444,8 +461,8 @@ def multiscale_scan(
     order of j, where cover is P_j's optimal cover at s and report is None
     where the net is empty.  It keeps no reference to a scale it has
     yielded, so the caller decides when each scale's sets are freed.  The
-    level range, num_samples, workers, s, eps and m are checked when this
-    is called, before any scale is computed.
+    level range, num_samples, workers, big_l, s, eps and m are checked when
+    this is called, before any scale is computed.
     """
     if not 0 <= level_min <= level_max <= P.level:
         raise ValueError(
@@ -455,6 +472,8 @@ def multiscale_scan(
         raise ValueError("num_samples must be >= 0")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if big_l is not None:
+        _check_big_l(big_l)
     _check_scan(P, s, eps, m)  # a scale whose net is empty scans nothing
 
     def scale(j):

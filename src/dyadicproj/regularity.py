@@ -88,6 +88,11 @@ class Decomposition:
         return 1.0 / (tau * L)
 
 
+def _check_big_l(L: float) -> None:
+    if not 1.0 <= L < math.inf:
+        raise ValueError(f"L={L} must be finite and >= 1")
+
+
 def heavy_decompose(
     P: GridPointSet,
     s: float,
@@ -126,8 +131,7 @@ def heavy_decompose(
         raise ValueError(f"tau={tau} outside (0, 1]")
     if L is None:
         L = max(1.0, 2.0 / tau)
-    if not 1.0 <= L < math.inf:
-        raise ValueError(f"L={L} must be finite and >= 1")
+    _check_big_l(L)
     if len(P) == 0:
         empty = GridPointSet.empty(P.dim, P.level)
         no_cubes = DyadicCover(np.empty((0, 1 + P.dim), dtype=np.int64), s, 0.0)

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from dyadicproj.fractals import (
     gen_degenerate,
     gen_random_tree_set,
 )
-from dyadicproj import kernels, projection
+from dyadicproj import _core_py, kernels, projection
 from dyadicproj.grid import GridPointSet, coarsen
 from dyadicproj.projection import (
     Plane,
@@ -721,6 +723,103 @@ class TestDirectionScan:
         assert text.count("direction ") == 5
 
 
+
+@pytest.fixture(scope="module")
+def full_grid():
+    """Every cell of the 2-D grid at level 6: 4,096 cells, enough for a scan
+    to sum its Riesz ceiling beside the directions."""
+    P = GridPointSet(2, 6, np.indices((64, 64)).reshape(2, -1).T.copy())
+    assert len(P) >= projection._OVERLAP_MIN_CELLS
+    return P
+
+
+@pytest.fixture
+def riesz_threads(monkeypatch):
+    """The thread of every riesz_sum call a scan makes."""
+    threads = []
+    original = projection.riesz_sum
+
+    def recorded(P, power):
+        threads.append(threading.get_ident())
+        return original(P, power)
+
+    monkeypatch.setattr(projection, "riesz_sum", recorded)
+    return threads
+
+
+class TestOverlappedCeiling:
+    @pytest.fixture(autouse=True)
+    def compiled(self, impls, monkeypatch):
+        """Only the compiled sum, which holds no GIL, overlaps."""
+        monkeypatch.setattr(kernels, "_active", impls["compiled"])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_energy_bound_exact(self, full_grid, riesz_threads, workers):
+        P = full_grid
+        rep = direction_scan(P, s=1.0, eps=0.1, num_samples=6, master_seed=4, workers=workers)
+        assert rep.energy_bound == 2.0**2 * (P.delta**1 * riesz_sum(P, 1).value + len(P))
+        # the scan's sum ran beside the directions
+        assert len(riesz_threads) == 1 and riesz_threads[0] != threading.get_ident()
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_report_equals_serial(self, full_grid, monkeypatch, workers):
+        # more threads than cores, switching as often as the interpreter allows
+        args = dict(s=1.0, eps=0.1, num_samples=12, master_seed=4, workers=workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            overlapped = direction_scan(full_grid, **args)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(projection, "_OVERLAP_MIN_CELLS", len(full_grid) + 1)
+        assert overlapped == direction_scan(full_grid, **args)
+
+    def test_small_set_sums_on_calling_thread(self, riesz_threads):
+        P = gen_cantor_product(CANTOR2, 4)
+        assert 2 <= len(P) < projection._OVERLAP_MIN_CELLS
+        direction_scan(P, s=1.0, eps=0.1, num_samples=3, master_seed=4, workers=2)
+        assert riesz_threads == [threading.get_ident()]
+
+    def test_fallback_sums_on_calling_thread(self, full_grid, riesz_threads, monkeypatch):
+        monkeypatch.setattr(kernels, "_active", _core_py)
+        direction_scan(full_grid, s=1.0, eps=0.1, num_samples=3, master_seed=4, workers=2)
+        assert riesz_threads == [threading.get_ident()]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ceiling_error_reaches_caller(self, full_grid, monkeypatch, workers):
+        def fails(P, power):
+            raise RuntimeError("ceiling failed")
+
+        monkeypatch.setattr(projection, "riesz_sum", fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="ceiling failed"):
+            direction_scan(full_grid, num_samples=3, master_seed=4, workers=workers)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_direction_error_reaches_caller(self, full_grid, monkeypatch, riesz_threads, workers):
+        def fails(*args):
+            raise RuntimeError("direction failed")
+
+        monkeypatch.setattr(projection, "classify_direction", fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="direction failed"):
+            direction_scan(full_grid, num_samples=3, master_seed=4, workers=workers)
+        assert threading.active_count() == before
+        assert len(riesz_threads) == 1 and riesz_threads[0] != threading.get_ident()
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [({"num_samples": -1}, "num_samples"), ({"workers": 0}, "workers"),
+         ({"s": 3.0}, "exponent"), ({"eps": 2.0}, "eps"), ({"m": 2}, "m=2")],
+    )
+    def test_refused_scan_never_sums(self, full_grid, riesz_threads, change, match):
+        args = {"s": 1.0, "eps": 0.1, "num_samples": 3, "master_seed": 4, **change}
+        with pytest.raises(ValueError, match=match):
+            direction_scan(full_grid, **args)
+        assert riesz_threads == []
+
+
 class TestMultiscaleScan:
     @pytest.mark.parametrize("cantor", [True, False])
     def test_yields_each_scale_in_order(self, cantor):
@@ -756,7 +855,10 @@ class TestMultiscaleScan:
          ({"level_max": 7}, "level range"), ({"level_min": -1}, "level range"),
          ({"workers": 0}, "workers"), ({"workers": -1}, "workers"),
          ({"workers": 0, "num_samples": 0}, "workers"), ({"num_samples": -1}, "num_samples"),
-         ({"eps": 1.0}, "eps"), ({"m": 2}, "m=2"), ({"s": 3.0}, "exponent")],
+         ({"eps": 1.0}, "eps"), ({"m": 2}, "m=2"), ({"s": 3.0}, "exponent"),
+         ({"big_l": math.nan}, r"L=nan must be finite and >= 1"),
+         ({"big_l": math.inf}, r"L=inf must be finite and >= 1"),
+         ({"big_l": 0.5}, r"L=0.5 must be finite and >= 1")],
     )
     def test_parameters_checked_before_any_scale(self, monkeypatch, change, match):
         monkeypatch.setattr(projection, "coarsen", lambda P, j: pytest.fail("a scale was built"))
